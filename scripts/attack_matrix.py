@@ -12,54 +12,34 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from linkmark.attacks import (attacker_split, distill, extract, fine_prune,
-                              finetune, make_report, prune, quantize)
+from linkmark.attacks import FINETUNE_MODES, attacker_split, make_report, run_attack
 from linkmark.graph import load_dataset
 from linkmark.nn import LinkPredictor, TrainConfig
 from linkmark.util import derive_seed
 from linkmark.watermark import load_wm
 
+# (CSV label stem, attack parameters); the label stem names the attack kind,
+# with the "finetune_" prefix dropped
 ATTACKS = (
-    [("finetune_" + m, {"mode": m}) for m in ("FTLL", "RTLL", "FTAL", "RTAL")]
+    [("finetune_" + m, {}) for m in FINETUNE_MODES]
     + [("prune", {"fraction": f}) for f in (0.2, 0.4, 0.6, 0.8)]
     + [("quantize", {"bits": 3})]
-    + [(f"fine_prune_{m}", {"fraction": f, "mode": m})
-       for m in ("FTLL", "RTAL") for f in (0.2, 0.8)]
+    + [(f"fine_prune_{m}", {"fraction": f}) for m in ("FTLL", "RTAL") for f in (0.2, 0.8)]
     + [("extract_soft", {}), ("extract_hard", {}), ("extract_double", {}),
        ("distill", {})]
 )
 
 
-def run_attack(task):
+def run_task(task):
     name, params, paths, seed, surrogate_epochs = task
     ds = load_dataset(paths["dataset"])
     wm = load_wm(paths["wm"])
     model = LinkPredictor.load(paths["checkpoint"])
     attack_b, eval_b = attacker_split(ds, derive_seed(seed, "attacker"))
     cfg = TrainConfig(epochs=surrogate_epochs, hidden_dim=model.hidden_dim, seed=seed)
-    if name.startswith("finetune_"):
-        attacked = finetune(model, attack_b, params["mode"], seed=seed)
-    elif name == "prune":
-        attacked = prune(model, params["fraction"])
-    elif name == "quantize":
-        attacked = quantize(model, params["bits"])
-    elif name.startswith("fine_prune_"):
-        attacked = fine_prune(model, params["fraction"], params["mode"], attack_b,
-                              seed=seed)
-    elif name == "extract_soft":
-        attacked = extract(model, model.arch, "soft", 1, attack_b, cfg)
-    elif name == "extract_hard":
-        attacked = extract(model, model.arch, "hard", 1, attack_b, cfg)
-    elif name == "extract_double":
-        attacked = extract(model, model.arch, "hard", 2, attack_b, cfg)
-    elif name == "distill":
-        attacked = distill(model, model.arch, attack_b, cfg)
-    else:
-        raise ValueError(name)
-    label = name + "".join(f"_{v}" for v in params.values()
-                           if not isinstance(v, str))
-    report = make_report(label, model, attacked, eval_b, wm, paths["threshold"])
-    return report
+    attacked = run_attack(name.removeprefix("finetune_"), model, attack_b, cfg, **params)
+    label = name + "".join(f"_{v}" for v in params.values())
+    return make_report(label, model, attacked, eval_b, wm, paths["threshold"])
 
 
 def main() -> int:
@@ -86,9 +66,9 @@ def main() -> int:
              for name, params in selected]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(run_attack, tasks))
+            reports = list(pool.map(run_task, tasks))
     else:
-        reports = [run_attack(t) for t in tasks]
+        reports = [run_task(t) for t in tasks]
     reports.sort(key=lambda r: r.kind)
 
     with open(args.out, "w", newline="") as fh:

@@ -9,13 +9,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embed import fit, grads_on
 from .graph import LinkDataset
-from .nn import (FINAL_LAYER, AdamState, LinkPredictor, PairBatch, TrainConfig,
-                 adam_step, batch_logits, evaluate_auc, loss_and_grads, softmax)
+from .nn import (FINAL_LAYER, LinkPredictor, PairBatch, TrainConfig, batch_logits,
+                 evaluate_auc, softmax)
 from .util import derive_seed
 from .watermark import watermark_auc
 
 FINETUNE_MODES = ("FTLL", "RTLL", "FTAL", "RTAL")
+ATTACK_KINDS = (FINETUNE_MODES + ("prune", "quantize")
+                + tuple(f"fine_prune_{m}" for m in FINETUNE_MODES)
+                + ("extract_soft", "extract_hard", "extract_double", "distill"))
 
 # utility drop an adversary is assumed unwilling to exceed
 UTILITY_DROP_LIMIT = 0.10
@@ -82,11 +86,8 @@ def finetune(model: LinkPredictor, attack_batch, mode: str, epochs: int = 50,
     if mode in ("RTLL", "RTAL"):
         out.reinit_final_layer(derive_seed(seed, "reinit"))
     trainable = set(FINAL_LAYER) if mode in ("FTLL", "RTLL") else set(out.params)
-    opt = AdamState(learning_rate)
-    for _ in range(epochs):
-        _, grads = loss_and_grads(out, attack_batch)
-        adam_step(opt, out.params, grads, trainable=trainable)
-    return out
+    return fit(out, [(f"finetune/{mode}", grads_on(attack_batch))], epochs,
+               learning_rate, trainable=trainable)
 
 
 def prune(model: LinkPredictor, fraction: float) -> LinkPredictor:
@@ -133,15 +134,6 @@ def fine_prune(model: LinkPredictor, fraction: float, mode: str, attack_batch,
                     learning_rate=learning_rate, seed=seed)
 
 
-def _train_on_targets(surrogate: LinkPredictor, batch: PairBatch, targets: np.ndarray,
-                      cfg: TrainConfig) -> LinkPredictor:
-    opt = AdamState(cfg.learning_rate)
-    for _ in range(cfg.epochs):
-        _, grads = loss_and_grads(surrogate, batch, targets=targets)
-        adam_step(opt, surrogate.params, grads)
-    return surrogate
-
-
 def _victim_targets(victim: LinkPredictor, batch: PairBatch, label_mode: str) -> np.ndarray:
     logits = batch_logits(victim, batch)
     probs = softmax(logits)
@@ -170,7 +162,8 @@ def extract(victim: LinkPredictor, surrogate_arch: str, label_mode: str,
         targets = _victim_targets(teacher, query_batch, label_mode)
         surrogate = LinkPredictor.init(surrogate_arch, query_batch.features.shape[1],
                                        cfg.hidden_dim, derive_seed(cfg.seed, f"extract{r}"))
-        _train_on_targets(surrogate, query_batch, targets, cfg)
+        fit(surrogate, [(f"extract{r}", grads_on(query_batch, targets))], cfg.epochs,
+            cfg.learning_rate)
         teacher = surrogate
     return surrogate
 
@@ -187,7 +180,32 @@ def distill(victim: LinkPredictor, student_arch: str, query_batch: PairBatch,
     targets = mix * soft + (1.0 - mix) * query_batch.onehot_targets()
     student = LinkPredictor.init(student_arch, query_batch.features.shape[1],
                                  cfg.hidden_dim, derive_seed(cfg.seed, "distill"))
-    return _train_on_targets(student, query_batch, targets, cfg)
+    return fit(student, [("distill", grads_on(query_batch, targets))], cfg.epochs,
+               cfg.learning_rate)
+
+
+def run_attack(kind: str, model: LinkPredictor, attack_batch, cfg: TrainConfig, *,
+               fraction: float = 0.2, bits: int = 3, epochs: int = 50, mix: float = 0.5,
+               surrogate_arch: str | None = None) -> LinkPredictor:
+    """Run one removal attack by name (one of ATTACK_KINDS). Fine-tuning
+    runs `epochs` epochs seeded by cfg.seed; extraction and distillation
+    train a surrogate of `surrogate_arch` (default: the victim's) with cfg."""
+    arch = surrogate_arch or model.arch
+    if kind in FINETUNE_MODES:
+        return finetune(model, attack_batch, kind, epochs=epochs, seed=cfg.seed)
+    if kind == "prune":
+        return prune(model, fraction)
+    if kind == "quantize":
+        return quantize(model, bits)
+    if kind in ATTACK_KINDS and kind.startswith("fine_prune_"):
+        return fine_prune(model, fraction, kind.removeprefix("fine_prune_"), attack_batch,
+                          epochs=epochs, seed=cfg.seed)
+    if kind in ("extract_soft", "extract_hard", "extract_double"):
+        return extract(model, arch, "soft" if kind == "extract_soft" else "hard",
+                       2 if kind == "extract_double" else 1, attack_batch, cfg)
+    if kind == "distill":
+        return distill(model, arch, attack_batch, cfg, mix=mix)
+    raise ValueError(f"unknown attack {kind!r}")
 
 
 def piracy_embed(stolen: LinkPredictor, pirated_wm, owner_wm, test_batch,
@@ -197,17 +215,14 @@ def piracy_embed(stolen: LinkPredictor, pirated_wm, owner_wm, test_batch,
     trigger-phase updates, tracing (epoch, test AUC, owner trigger AUC,
     pirate trigger AUC) so the utility trade-off is observable."""
     model = stolen.clone()
-    pirate_batch = pirated_wm.batch()
-    opt = AdamState(learning_rate)
+    trace = []
 
     def snapshot(epoch):
-        return (epoch, evaluate_auc(model, test_batch),
-                watermark_auc(model, owner_wm), watermark_auc(model, pirated_wm))
-
-    trace = [snapshot(0)]
-    for epoch in range(1, epochs + 1):
-        _, grads = loss_and_grads(model, pirate_batch)
-        adam_step(opt, model.params, grads)
         if epoch % trace_every == 0 or epoch == epochs:
-            trace.append(snapshot(epoch))
+            trace.append((epoch, evaluate_auc(model, test_batch),
+                          watermark_auc(model, owner_wm), watermark_auc(model, pirated_wm)))
+
+    snapshot(0)
+    fit(model, [("piracy", grads_on(pirated_wm.batch()))], epochs, learning_rate,
+        after_epoch=snapshot)
     return trace

@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import embed
-from .attacks import (FINETUNE_MODES, attacker_split, distill, extract,
-                      fine_prune, finetune, make_report, prune, quantize)
+from .attacks import ATTACK_KINDS, attacker_split, make_report, run_attack
 from .graph import (generate_sbm, init_features, load_dataset, load_edge_list,
                     load_features, save_dataset, save_edge_list, split_links)
 from .nn import LinkPredictor, PairBatch, TrainConfig, evaluate_auc
@@ -195,13 +194,11 @@ def cmd_train(args) -> int:
     ds = load_dataset(args.dataset)
     batches = _split_batches(ds, doc.get("pathway", "node_rep"),
                              int(doc.get("hops", 1)))
-    wm = load_wm(args.wm) if args.wm else None
+    wm_batch = load_wm(args.wm).batch() if args.wm else None
     model = LinkPredictor.init(cfg.arch, ds.features.shape[1], cfg.hidden_dim,
                                derive_seed(cfg.seed, "init"))
-    if cfg.method == "clean" or wm is None:
-        embed.train_clean(model, batches["train"], cfg)
-    else:
-        embed.embed_with_method(cfg.method, model, batches["train"], wm.batch(), cfg)
+    embed.embed_with_method(cfg.method if args.wm else "clean", model, batches["train"],
+                            wm_batch, cfg)
     ckpt = out / "model.ckpt"
     model.save(ckpt)
     _write_manifest(out, "train", cfg.to_json_dict(), {"model.ckpt": ckpt})
@@ -246,13 +243,28 @@ def _threshold_task(task: dict) -> dict:
                             derive_seed(task["seed"], "wm"))
     model = LinkPredictor.init(cfg.arch, ds.features.shape[1], cfg.hidden_dim,
                                derive_seed(cfg.seed, "init"))
-    if task["kind"] == "clean":
-        embed.train_clean(model, batches["train"], cfg)
-    else:
-        embed.embed_with_method(cfg.method, model, batches["train"], wm.batch(), cfg)
+    method = "clean" if task["kind"] == "clean" else cfg.method
+    embed.embed_with_method(method, model, batches["train"], wm.batch(), cfg)
     return {"kind": task["kind"], "seed": task["seed"],
             "auc_wm": watermark_auc(model, wm),
             "auc_test": evaluate_auc(model, batches["test"])}
+
+
+def _cohort_aucs(args, cfg_doc: dict, seed: int, count: int):
+    """Train `count` clean and `count` watermarked models over the worker
+    pool; returns their trigger AUCs as (clean, wm) lists in seed order."""
+    tasks = [{"dataset": str(args.dataset), "edges": str(args.edges),
+              "features": str(args.features) if args.features else None,
+              "cfg": TrainConfig.from_json_dict(cfg_doc).to_json_dict(),
+              "seed": derive_seed(seed, f"{kind}{i}"), "kind": kind,
+              "pathway": cfg_doc.get("pathway", "node_rep"),
+              "hops": int(cfg_doc.get("hops", 1)),
+              "rate": float(cfg_doc.get("rate", 0.1))}
+             for kind in ("clean", "wm") for i in range(count)]
+    results = _pool_map(_threshold_task, tasks, _resolve_jobs(args))
+    results.sort(key=lambda r: (r["kind"], r["seed"]))
+    return tuple([r["auc_wm"] for r in results if r["kind"] == kind]
+                 for kind in ("clean", "wm"))
 
 
 def cmd_threshold(args) -> int:
@@ -269,18 +281,7 @@ def cmd_threshold(args) -> int:
             return _fail("missing_input", "threshold needs --dataset and --edges "
                                           "unless sample CSVs are given")
         count = int(cfg_doc.get("models", args.models))
-        tasks = [{"dataset": str(args.dataset), "edges": str(args.edges),
-                  "features": str(args.features) if args.features else None,
-                  "cfg": TrainConfig.from_json_dict(cfg_doc).to_json_dict(),
-                  "seed": derive_seed(seed, f"{kind}{i}"), "kind": kind,
-                  "pathway": cfg_doc.get("pathway", "node_rep"),
-                  "hops": int(cfg_doc.get("hops", 1)),
-                  "rate": float(cfg_doc.get("rate", 0.1))}
-                 for kind in ("clean", "wm") for i in range(count)]
-        results = _pool_map(_threshold_task, tasks, _resolve_jobs(args))
-        results.sort(key=lambda r: (r["kind"], r["seed"]))
-        clean = np.array([r["auc_wm"] for r in results if r["kind"] == "clean"])
-        wm = np.array([r["auc_wm"] for r in results if r["kind"] == "wm"])
+        clean, wm = map(np.array, _cohort_aucs(args, cfg_doc, seed, count))
         write_samples_csv(clean, out / "clean_aucs.csv")
         write_samples_csv(wm, out / "wm_aucs.csv")
     report = dwt_threshold(clean, wm, n=n, gamma=gamma, seed=derive_seed(seed, "dwt"))
@@ -297,34 +298,19 @@ def cmd_attack(args) -> int:
     out = _out_dir(args)
     cfg_doc = _load_config(args)
     seed = args.seed if args.seed is not None else int(cfg_doc.get("seed", 0))
+    kind = args.kind
+    if kind not in ATTACK_KINDS:
+        return _fail("unknown_attack", f"unknown attack {kind!r}")
     ds = load_dataset(args.dataset)
     wm = load_wm(args.wm)
     model = LinkPredictor.load(args.checkpoint)
     attack_batch, eval_batch = attacker_split(ds, derive_seed(seed, "attacker"))
     threshold = args.threshold
-    kind = args.kind
     cfg = TrainConfig.from_json_dict(cfg_doc)
     cfg.seed = seed
-    if kind in FINETUNE_MODES:
-        attacked = finetune(model, attack_batch, kind, epochs=args.epochs, seed=seed)
-    elif kind == "prune":
-        attacked = prune(model, args.fraction)
-    elif kind == "quantize":
-        attacked = quantize(model, args.bits)
-    elif kind.startswith("fine_prune_"):
-        mode = kind.rsplit("_", 1)[1]
-        attacked = fine_prune(model, args.fraction, mode, attack_batch,
-                              epochs=args.epochs, seed=seed)
-    elif kind in ("extract_soft", "extract_hard", "extract_double"):
-        rounds = 2 if kind.endswith("double") else 1
-        mode = "soft" if kind.endswith("soft") else "hard"
-        attacked = extract(model, args.surrogate_arch or model.arch, mode, rounds,
-                           attack_batch, cfg)
-    elif kind == "distill":
-        attacked = distill(model, args.surrogate_arch or model.arch, attack_batch,
-                           cfg, mix=args.mix)
-    else:
-        return _fail("unknown_attack", f"unknown attack {kind!r}")
+    attacked = run_attack(kind, model, attack_batch, cfg, fraction=args.fraction,
+                          bits=args.bits, epochs=args.epochs, mix=args.mix,
+                          surrogate_arch=args.surrogate_arch)
     report = make_report(kind, model, attacked, eval_batch, wm, threshold)
     path = out / f"attack_{kind}.json"
     with open(path, "w") as fh:
@@ -420,18 +406,7 @@ def cmd_reproduce_table1(args) -> int:
     cfg_doc = _load_config(args)
     seed = args.seed if args.seed is not None else int(cfg_doc.get("seed", 0))
     count = int(cfg_doc.get("models", args.models))
-    tasks = [{"dataset": str(args.dataset), "edges": str(args.edges),
-              "features": str(args.features) if args.features else None,
-              "cfg": TrainConfig.from_json_dict(cfg_doc).to_json_dict(),
-              "seed": derive_seed(seed, f"{kind}{i}"), "kind": kind,
-              "pathway": cfg_doc.get("pathway", "node_rep"),
-              "hops": int(cfg_doc.get("hops", 1)),
-              "rate": float(cfg_doc.get("rate", 0.1))}
-             for kind in ("clean", "wm") for i in range(count)]
-    results = _pool_map(_threshold_task, tasks, _resolve_jobs(args))
-    results.sort(key=lambda r: (r["kind"], r["seed"]))
-    clean = [r["auc_wm"] for r in results if r["kind"] == "clean"]
-    wm = [r["auc_wm"] for r in results if r["kind"] == "wm"]
+    clean, wm = _cohort_aucs(args, cfg_doc, seed, count)
     _, p_clean = shapiro_wilk(clean)
     _, p_wm = shapiro_wilk(wm)
     p_boot = smoothed_bootstrap_test(clean, wm, replicates=100_000,
@@ -523,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--wm", required=True)
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", required=True, help=", ".join(ATTACK_KINDS))
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--fraction", type=float, default=0.2)
     p.add_argument("--bits", type=int, default=3)

@@ -16,12 +16,6 @@ class NonFiniteLoss(RuntimeError):
         super().__init__(f"{method}: non-finite loss {loss} at epoch {epoch}")
 
 
-def _checked(loss: float, method: str, epoch: int) -> float:
-    if not np.isfinite(loss):
-        raise NonFiniteLoss(method, epoch, loss)
-    return loss
-
-
 def _flatten(grads: dict, order) -> np.ndarray:
     return np.concatenate([grads[name].ravel() for name in order])
 
@@ -36,14 +30,35 @@ def _unflatten(vec: np.ndarray, template: dict, order) -> dict:
     return out
 
 
+def fit(model: LinkPredictor, steps, epochs: int, learning_rate: float,
+        trainable: set | None = None, after_epoch=None) -> LinkPredictor:
+    """The one training loop. Each epoch runs `steps` in order; a step is a
+    (label, grad_fn) pair, where grad_fn(model) returns (loss, grads) and is
+    followed by one Adam update through a single optimizer state. A
+    non-finite loss raises NonFiniteLoss under the step's label. `trainable`
+    restricts which tensors move; after_epoch(done) runs after each epoch
+    with the count of epochs finished."""
+    opt = AdamState(learning_rate)
+    for epoch in range(epochs):
+        for label, grad_fn in steps:
+            loss, grads = grad_fn(model)
+            if not np.isfinite(loss):
+                raise NonFiniteLoss(label, epoch, loss)
+            adam_step(opt, model.params, grads, trainable=trainable)
+        if after_epoch is not None:
+            after_epoch(epoch + 1)
+    return model
+
+
+def grads_on(batch, targets: np.ndarray | None = None):
+    """grad_fn for the full-batch loss on one batch (optionally against
+    arbitrary target distributions)."""
+    return lambda model: loss_and_grads(model, batch, targets=targets)
+
+
 def train_clean(model: LinkPredictor, train_batch, cfg: TrainConfig) -> LinkPredictor:
     """Plain training on the task data only."""
-    opt = AdamState(cfg.learning_rate)
-    for epoch in range(cfg.epochs):
-        loss, grads = loss_and_grads(model, train_batch)
-        _checked(loss, "train", epoch)
-        adam_step(opt, model.params, grads)
-    return model
+    return fit(model, [("train", grads_on(train_batch))], cfg.epochs, cfg.learning_rate)
 
 
 def embed_interleaved(model: LinkPredictor, train_batch, wm_batch,
@@ -51,28 +66,27 @@ def embed_interleaved(model: LinkPredictor, train_batch, wm_batch,
     """Per epoch: task gradient, optimizer update, trigger-set gradient,
     second update through the same optimizer state. An empty trigger set
     degenerates to plain training."""
-    opt = AdamState(cfg.learning_rate)
-    for epoch in range(cfg.epochs):
-        loss, grads = loss_and_grads(model, train_batch)
-        _checked(loss, "interleaved/task", epoch)
-        adam_step(opt, model.params, grads)
-        if wm_batch is None or len(wm_batch) == 0:
-            continue
-        wm_loss, wm_grads = loss_and_grads(model, wm_batch)
-        _checked(wm_loss, "interleaved/trigger", epoch)
-        adam_step(opt, model.params, wm_grads)
-    return model
+    steps = [("interleaved/task", grads_on(train_batch))]
+    if wm_batch is not None and len(wm_batch) > 0:
+        steps.append(("interleaved/trigger", grads_on(wm_batch)))
+    return fit(model, steps, cfg.epochs, cfg.learning_rate)
 
 
 def embed_finetune_baseline(clean_model: LinkPredictor, wm_batch,
                             cfg: TrainConfig, epochs: int = 50) -> LinkPredictor:
     """Fine-tune a pre-trained clean model on the trigger set alone."""
-    opt = AdamState(cfg.learning_rate)
-    for epoch in range(epochs):
-        loss, grads = loss_and_grads(clean_model, wm_batch)
-        _checked(loss, "finetune", epoch)
-        adam_step(opt, clean_model.params, grads)
-    return clean_model
+    return fit(clean_model, [("finetune", grads_on(wm_batch))], epochs, cfg.learning_rate)
+
+
+def _fit_combined(model: LinkPredictor, train_batch, wm_batch, cfg: TrainConfig,
+                  label: str, combine) -> LinkPredictor:
+    """One update per epoch on both batches: the summed loss, with
+    combine(grads_t, grads_w) as the gradient."""
+    def grad_fn(model):
+        loss_t, grads_t = loss_and_grads(model, train_batch)
+        loss_w, grads_w = loss_and_grads(model, wm_batch)
+        return loss_t + loss_w, combine(grads_t, grads_w)
+    return fit(model, [(label, grad_fn)], cfg.epochs, cfg.learning_rate)
 
 
 def embed_poison_baseline(model: LinkPredictor, train_batch, wm_batch,
@@ -81,29 +95,20 @@ def embed_poison_baseline(model: LinkPredictor, train_batch, wm_batch,
     the mean loss over the combined pool."""
     n_t, n_w = len(train_batch), len(wm_batch)
     total = n_t + n_w
-    opt = AdamState(cfg.learning_rate)
-    for epoch in range(cfg.epochs):
-        loss_t, grads_t = loss_and_grads(model, train_batch)
-        loss_w, grads_w = loss_and_grads(model, wm_batch)
-        _checked(loss_t + loss_w, "poison", epoch)
-        merged = {name: (n_t * grads_t[name] + n_w * grads_w[name]) / total
-                  for name in grads_t}
-        adam_step(opt, model.params, merged)
-    return model
+
+    def merged(grads_t, grads_w):
+        return {name: (n_t * grads_t[name] + n_w * grads_w[name]) / total
+                for name in grads_t}
+    return _fit_combined(model, train_batch, wm_batch, cfg, "poison", merged)
 
 
 def embed_uniform_baseline(model: LinkPredictor, train_batch, wm_batch,
                            cfg: TrainConfig) -> LinkPredictor:
     """Single update per epoch on the summed losses (gradients added with
     unit weights)."""
-    opt = AdamState(cfg.learning_rate)
-    for epoch in range(cfg.epochs):
-        loss_t, grads_t = loss_and_grads(model, train_batch)
-        loss_w, grads_w = loss_and_grads(model, wm_batch)
-        _checked(loss_t + loss_w, "uniform", epoch)
-        summed = {name: grads_t[name] + grads_w[name] for name in grads_t}
-        adam_step(opt, model.params, summed)
-    return model
+    def summed(grads_t, grads_w):
+        return {name: grads_t[name] + grads_w[name] for name in grads_t}
+    return _fit_combined(model, train_batch, wm_batch, cfg, "uniform", summed)
 
 
 def min_norm_coefficient(g1: np.ndarray, g2: np.ndarray) -> float:
@@ -125,21 +130,23 @@ def embed_mgda_baseline(model: LinkPredictor, train_batch, wm_batch,
     """Per epoch, step along the min-norm convex combination of the two task
     gradients."""
     order = sorted(model.params)
-    opt = AdamState(cfg.learning_rate)
-    for epoch in range(cfg.epochs):
-        loss_t, grads_t = loss_and_grads(model, train_batch)
-        loss_w, grads_w = loss_and_grads(model, wm_batch)
-        _checked(loss_t + loss_w, "mgda", epoch)
+
+    def min_norm(grads_t, grads_w):
         g1 = _flatten(grads_t, order)
         g2 = _flatten(grads_w, order)
         a1 = min_norm_coefficient(g1, g2)
-        combined = _unflatten(a1 * g1 + (1.0 - a1) * g2, model.params, order)
-        adam_step(opt, model.params, combined)
-    return model
+        return _unflatten(a1 * g1 + (1.0 - a1) * g2, model.params, order)
+    return _fit_combined(model, train_batch, wm_batch, cfg, "mgda", min_norm)
+
+
+def _clean_then_finetune(model, train_batch, wm_batch, cfg):
+    return embed_finetune_baseline(train_clean(model, train_batch, cfg), wm_batch, cfg)
 
 
 EMBED_METHODS = {
+    "clean": lambda model, train_batch, wm_batch, cfg: train_clean(model, train_batch, cfg),
     "genie": embed_interleaved,
+    "finetune": _clean_then_finetune,
     "poison": embed_poison_baseline,
     "uniform": embed_uniform_baseline,
     "mgda": embed_mgda_baseline,
@@ -148,11 +155,9 @@ EMBED_METHODS = {
 
 def embed_with_method(method: str, model: LinkPredictor, train_batch, wm_batch,
                       cfg: TrainConfig) -> LinkPredictor:
-    """Dispatch on the config's method token. "finetune" first trains a clean
-    model for cfg.epochs, then fine-tunes on the trigger set for 50 epochs."""
-    if method == "finetune":
-        train_clean(model, train_batch, cfg)
-        return embed_finetune_baseline(model, wm_batch, cfg)
+    """Dispatch on the config's method token. "clean" ignores the trigger
+    set; "finetune" first trains a clean model for cfg.epochs, then
+    fine-tunes on the trigger set for 50 epochs."""
     if method not in EMBED_METHODS:
         raise ValueError(f"unknown embedding method {method!r}")
     return EMBED_METHODS[method](model, train_batch, wm_batch, cfg)

@@ -176,7 +176,17 @@ class ServeSession:
         return bool(p_pos > 0.5), p_pos
 
     def handle_line(self, line: str) -> str:
-        """Line protocol: query "u v", reply "1 <p>" or "0 <p>"."""
-        u, v = (int(t) for t in line.split())
+        """Line protocol: query "u v", reply "1 <p>" or "0 <p>". A line that
+        is not two integers gets "err parse", a node outside [0, n) "err
+        range", and u == v "err self_pair"."""
+        try:
+            u, v = (int(t) for t in line.split())
+        except ValueError:
+            return "err parse"
+        n = len(self.embeddings)
+        if not (0 <= u < n and 0 <= v < n):
+            return "err range"
+        if u == v:
+            return "err self_pair"
         exists, p = self.query(u, v)
         return f"{int(exists)} {p:.6f}"

@@ -2,8 +2,6 @@
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(master: int, stream: str) -> int:
     """Derive a stable per-stream seed from a master seed.
@@ -13,10 +11,6 @@ def derive_seed(master: int, stream: str) -> int:
     """
     digest = hashlib.sha256(f"{master}:{stream}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def rng_for(master: int, stream: str) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(master, stream))
 
 
 def sha256_hex(data: bytes) -> str:

@@ -4,6 +4,7 @@ import pytest
 import linkmark as lm
 from linkmark.attacks import (attack_verdict, attacker_split, make_report,
                               piracy_embed)
+from linkmark.embed import NonFiniteLoss
 from linkmark.nn import FINAL_LAYER, batch_logits, softmax
 
 
@@ -225,11 +226,12 @@ class TestDistill:
         cfg = lm.TrainConfig(epochs=30, hidden_dim=32, seed=15)
         student = lm.distill(watermarked_model, "gcn", attack_b, cfg, mix=1.0)
         # same targets as soft extraction; only the init stream differs
-        from linkmark.attacks import _train_on_targets, _victim_targets
+        from linkmark.attacks import _victim_targets
+        from linkmark.embed import fit, grads_on
 
         targets = _victim_targets(watermarked_model, attack_b, "soft")
         ref = lm.LinkPredictor.init("gcn", 16, 32, derive_seed(15, "distill"))
-        _train_on_targets(ref, attack_b, targets, cfg)
+        fit(ref, [("soft", grads_on(attack_b, targets))], cfg.epochs, cfg.learning_rate)
         assert params_equal(student, ref)
 
     def test_distill_report_and_utility_transfer(self, watermarked_model,
@@ -245,6 +247,18 @@ class TestDistill:
         assert abs(report.auc_test_post - report.auc_test_pre) <= 0.08
         assert 0.0 <= report.auc_wm_post <= 1.0
         assert report.verdict in ("watermark_success", "watermark_failure")
+
+
+@pytest.mark.parametrize("attack", [
+    lambda victim, batch: lm.finetune(victim, batch, "FTAL", epochs=2),
+    lambda victim, batch: lm.extract(victim, "gcn", "soft", 1, batch,
+                                     lm.TrainConfig(epochs=2, hidden_dim=32)),
+], ids=["finetune", "extract"])
+def test_diverging_victim_raises_instead_of_scoring(attack, attack_halves):
+    victim = lm.LinkPredictor.init("gcn", 16, 32, seed=5)
+    victim.params["enc1_w"][:] = 1e200
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss):
+        attack(victim, attack_halves[0])
 
 
 class TestVerdictTable:

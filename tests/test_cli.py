@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from linkmark.attacks import ATTACK_KINDS
 from linkmark.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -168,6 +169,28 @@ class TestAttackCommand:
         assert report["threshold"] == 0.6
 
 
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_every_kind_runs(self, pipeline, tmp_path, kind):
+        out, _ = pipeline
+        cfg = write_config(tmp_path, epochs=2, hidden=8)
+        rc = main(["attack", "--out", str(tmp_path), "--seed", "5", "--config", str(cfg),
+                   "--dataset", str(out / "dataset.npz"), "--checkpoint",
+                   str(out / "model.ckpt"), "--wm", str(out / "trigger.gwm"),
+                   "--kind", kind, "--epochs", "2", "--threshold", "0.6"])
+        assert rc == 0
+        report = json.loads((tmp_path / f"attack_{kind}.json").read_text())
+        assert report["kind"] == kind
+        assert 0.0 <= report["auc_wm_post"] <= 1.0
+
+    def test_unknown_kind_fails(self, pipeline, tmp_path, capsys):
+        out, _ = pipeline
+        rc = main(["attack", "--out", str(tmp_path), "--dataset", str(out / "dataset.npz"),
+                   "--checkpoint", str(out / "model.ckpt"), "--wm", str(out / "trigger.gwm"),
+                   "--kind", "finetune_FTLL", "--threshold", "0.6"])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "unknown_attack"
+
+
 class TestReport:
     def test_main_results_table(self, pipeline, tmp_path):
         out, _ = pipeline
@@ -221,6 +244,22 @@ class TestServeCommand:
             bit, prob = line.split()
             assert bit in ("0", "1")
             assert 0.0 <= float(prob) <= 1.0
+
+    def test_bad_lines_answered_and_serving_continues(self, pipeline):
+        out, _ = pipeline
+        proc = subprocess.run(
+            [sys.executable, "-m", "linkmark.cli", "serve",
+             "--checkpoint", str(out / "model.ckpt"),
+             "--wm", str(out / "trigger.gwm"), "--defense"],
+            input="0 1\n-1 3\na b\n0 999\n1 1\n1 2 3\n2 3\n",
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.strip().splitlines()
+        assert lines[1:6] == ["err range", "err parse", "err range", "err self_pair",
+                              "err parse"]
+        for line in (lines[0], lines[6]):
+            bit, prob = line.split()
+            assert bit in ("0", "1") and 0.0 <= float(prob) <= 1.0
 
 
 def test_jobs_env_var_fallback(monkeypatch):
@@ -279,12 +318,15 @@ def test_attack_matrix_script_subset(pipeline, tmp_path):
         [sys.executable, str(REPO / "scripts" / "attack_matrix.py"),
          "--dataset", str(out / "dataset.npz"), "--wm", str(out / "trigger.gwm"),
          "--checkpoint", str(out / "model.ckpt"), "--threshold", "0.6",
-         "--out", str(csv_path), "--attacks", "prune,quantize", "--jobs", "1"],
+         "--out", str(csv_path), "--attacks", "prune,quantize,finetune_FTLL",
+         "--jobs", "1", "--surrogate-epochs", "2"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("kind,")
-    assert len(lines) == 6  # header + 4 prune fractions + quantize
+    # header + FTLL + 4 prune fractions + quantize, sorted by label
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "finetune_FTLL", "prune_0.2", "prune_0.4", "prune_0.6", "prune_0.8", "quantize_3"]
     for line in lines[1:]:
         assert line.split(",")[-1] in ("watermark_success", "watermark_failure")
 

@@ -166,6 +166,15 @@ class TestServe:
         assert bit in ("0", "1")
         assert 0.0 <= float(prob) <= 1.0
 
+    @pytest.mark.parametrize("line,reply", [
+        ("-1 3", "err range"), ("0 999", "err range"), ("a b", "err parse"),
+        ("1 2 3", "err parse"), ("7", "err parse"), ("1 1", "err self_pair"),
+    ])
+    def test_bad_lines_rejected(self, watermarked_model, toy_watermark, line, reply):
+        session = ServeSession.for_watermark(watermarked_model, toy_watermark,
+                                             defense=True)
+        assert session.handle_line(line) == reply
+
     def test_defense_requires_watermark(self, watermarked_model, toy_graph):
         with pytest.raises(ValueError):
             ServeSession(watermarked_model, toy_graph.adjacency(),
