@@ -191,14 +191,14 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     doc = _load_config(args)
     cfg = _train_cfg(doc, args)
+    cfg.method = cfg.method if args.wm else "clean"
     ds = load_dataset(args.dataset)
     batches = _split_batches(ds, doc.get("pathway", "node_rep"),
                              int(doc.get("hops", 1)))
     wm_batch = load_wm(args.wm).batch() if args.wm else None
     model = LinkPredictor.init(cfg.arch, ds.features.shape[1], cfg.hidden_dim,
                                derive_seed(cfg.seed, "init"))
-    embed.embed_with_method(cfg.method if args.wm else "clean", model, batches["train"],
-                            wm_batch, cfg)
+    embed.embed_with_method(cfg.method, model, batches["train"], wm_batch, cfg)
     ckpt = out / "model.ckpt"
     model.save(ckpt)
     _write_manifest(out, "train", cfg.to_json_dict(), {"model.ckpt": ckpt})

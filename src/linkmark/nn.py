@@ -7,8 +7,8 @@ Two encoder families over dense f64 features with a CSR adjacency:
 
 Three encoder layers (last one linear), then a 3-layer MLP decoder that maps
 the elementwise product of the two endpoint embeddings to 2 logits. Subgraph
-inputs are encoded the same way, mean-pooled, and decoded. Gradients are
-computed analytically; the optimizer is Adam with bias correction.
+inputs are encoded in block-diagonal segments, mean-pooled, and decoded. Gradients
+are computed analytically; the optimizer is Adam with bias correction.
 
 Checkpoint layout (all little-endian): magic b"GLPW1", one arch byte
 (0 = gcn, 1 = sage), u32 input dim, u32 hidden dim, then the raw f64 buffer
@@ -200,11 +200,10 @@ def _encode_forward(model: LinkPredictor, prop: sp.csr_matrix, features: np.ndar
     cache = {"h": [features], "pre": [], "agg": []}
     h = features
     for i in (1, 2, 3):
+        agg = prop @ h
         if model.arch == GCN:
-            agg = prop @ h
             z = agg @ p[f"enc{i}_w"] + p[f"enc{i}_b"]
         else:
-            agg = prop @ h
             z = h @ p[f"enc{i}_self"] + agg @ p[f"enc{i}_nb"] + p[f"enc{i}_b"]
         cache["agg"].append(agg)
         cache["pre"].append(z)
@@ -218,20 +217,19 @@ def _encode_backward(model: LinkPredictor, prop: sp.csr_matrix, cache: dict,
     """Backprop d(loss)/d(embeddings) through the encoder; returns feature
     gradients and accumulates parameter gradients into `grads`."""
     p = model.params
+    prop_t = prop.T
     dh = d_out
     for i in (3, 2, 1):
         dz = dh if i == 3 else dh * (cache["pre"][i - 1] > 0)
-        h_in = cache["h"][i - 1]
         agg = cache["agg"][i - 1]
+        grads[f"enc{i}_b"] += dz.sum(axis=0)
         if model.arch == GCN:
             grads[f"enc{i}_w"] += agg.T @ dz
-            grads[f"enc{i}_b"] += dz.sum(axis=0)
-            dh = prop.T @ (dz @ p[f"enc{i}_w"].T)
+            dh = prop_t @ (dz @ p[f"enc{i}_w"].T)
         else:
-            grads[f"enc{i}_self"] += h_in.T @ dz
+            grads[f"enc{i}_self"] += cache["h"][i - 1].T @ dz
             grads[f"enc{i}_nb"] += agg.T @ dz
-            grads[f"enc{i}_b"] += dz.sum(axis=0)
-            dh = dz @ p[f"enc{i}_self"].T + prop.T @ (dz @ p[f"enc{i}_nb"].T)
+            dh = dz @ p[f"enc{i}_self"].T + prop_t @ (dz @ p[f"enc{i}_nb"].T)
     return dh
 
 
@@ -311,12 +309,31 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray):
     return loss, grad
 
 
-def zero_grads(model: LinkPredictor) -> dict:
-    return {name: np.zeros_like(val) for name, val in model.params.items()}
+# consecutive subgraphs share one block-diagonal segment of at most this many
+# nodes; a larger subgraph gets a segment to itself
+SEGMENT_NODES = 256
 
 
-class PairBatch:
-    """Node pairs scored against a fixed (adjacency, features) state."""
+class _Batch:
+    """Labeled rows scored segment by segment. A segment is (propagation,
+    features, readout, rows): a graph to encode, the arrays stacked into its
+    node features, a sparse readout of its node embeddings, and the batch
+    rows it scores. A pair readout stacks the two endpoint gathers; a pool
+    readout has one block, the mean embedding per subgraph. Built once per
+    arch."""
+
+    def segments(self, arch: str) -> list:
+        if arch not in self._segments:
+            self._segments[arch] = self._build(arch) if len(self) else []
+        return self._segments[arch]
+
+    def onehot_targets(self) -> np.ndarray:
+        return np.eye(2)[self.labels]
+
+
+class PairBatch(_Batch):
+    """Node pairs scored against a fixed (adjacency, features) state: one
+    segment with a pair readout."""
 
     def __init__(self, adjacency: sp.spmatrix, features: np.ndarray,
                  pairs: np.ndarray, labels: np.ndarray):
@@ -324,7 +341,10 @@ class PairBatch:
         self.features = np.asarray(features, dtype=float)
         self.pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         self.labels = np.asarray(labels, dtype=np.int64)
+        if self.pairs.size and (self.pairs.min() < 0 or self.pairs.max() >= len(self.features)):
+            raise ValueError(f"pair node ids must lie in [0, {len(self.features)})")
         self._props: dict = {}
+        self._segments: dict = {}
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -334,107 +354,102 @@ class PairBatch:
             self._props[arch] = propagation_matrix(arch, self.adjacency)
         return self._props[arch]
 
-    def onehot_targets(self) -> np.ndarray:
-        t = np.zeros((len(self.labels), 2))
-        t[np.arange(len(self.labels)), self.labels] = 1.0
-        return t
+    def _build(self, arch: str) -> list:
+        # rows k and n + k take pairs[k, 0] and pairs[k, 1], so the transpose
+        # holds both node x pair incidences side by side
+        n = len(self.pairs)
+        readout = sp.csr_matrix((np.ones(2 * n), self.pairs.T.ravel(), np.arange(2 * n + 1)),
+                                shape=(2 * n, len(self.features)))
+        return [(self.propagation(arch), [self.features], readout, slice(0, n))]
 
 
-class SubgraphBatch:
-    """Independent subgraphs classified via encode + mean pool + decode."""
+class SubgraphBatch(_Batch):
+    """Independent subgraphs classified via encode + mean pool + decode. Runs
+    of consecutive subgraphs form block-diagonal segments (SEAL batching)
+    with a pool readout."""
 
     def __init__(self, subgraphs, labels):
         self.subgraphs = list(subgraphs)
         self.labels = np.asarray(labels, dtype=np.int64)
         if len(self.subgraphs) != len(self.labels):
             raise ValueError("one label per subgraph required")
-        self._props: dict = {}
+        if any(sg.num_nodes == 0 for sg in self.subgraphs):
+            raise ValueError("empty subgraph")
+        self._segments: dict = {}
 
     def __len__(self) -> int:
         return len(self.subgraphs)
 
-    def propagation(self, arch: str, idx: int) -> sp.csr_matrix:
-        key = (arch, idx)
-        if key not in self._props:
-            self._props[key] = propagation_matrix(arch, self.subgraphs[idx].adjacency())
-        return self._props[key]
+    def _build(self, arch: str) -> list:
+        sizes = np.array([sg.num_nodes for sg in self.subgraphs])
+        ends, segments, a = np.cumsum(sizes), [], 0
+        while a < len(sizes):
+            # the longest run from subgraph a that fits, or subgraph a alone
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + SEGMENT_NODES, "right")))
+            sgs, run = self.subgraphs[a:b], sizes[a:b]
+            prop = sp.block_diag([propagation_matrix(arch, sg.adjacency()) for sg in sgs], "csr")
+            pool = sp.csr_matrix((np.repeat(1.0 / run, run), np.arange(run.sum()),
+                                  np.r_[0, np.cumsum(run)]), shape=(b - a, run.sum()))
+            segments.append((prop, [sg.local_features for sg in sgs], pool, slice(a, b)))
+            a = b
+        return segments
 
-    def onehot_targets(self) -> np.ndarray:
-        t = np.zeros((len(self.labels), 2))
-        t[np.arange(len(self.labels)), self.labels] = 1.0
-        return t
+
+def _factors(readout: sp.csr_matrix, emb: np.ndarray, rows: slice) -> np.ndarray:
+    """The readout as a (2, rows, hidden) pair of endpoint embeddings or a
+    (1, rows, hidden) block of pooled ones; the decoder input is their product."""
+    return (readout @ emb).reshape(-1, rows.stop - rows.start, emb.shape[1])
 
 
-def pair_logits(model: LinkPredictor, batch: PairBatch) -> np.ndarray:
-    prop = batch.propagation(model.arch)
-    emb = _encode_forward(model, prop, batch.features)["h"][-1]
-    return score_pairs(model, emb, batch.pairs)
+def _segment_forward(model: LinkPredictor, prop: sp.csr_matrix, features: list,
+                     readout: sp.csr_matrix, rows: slice):
+    """Encode a segment and decode the elementwise product of its factors;
+    returns the encoder and decoder caches."""
+    enc = _encode_forward(model, prop, features[0] if len(features) == 1 else np.vstack(features))
+    return enc, _decoder_forward(model, _factors(readout, enc["h"][-1], rows).prod(axis=0))
 
 
 def classify_subgraph(model: LinkPredictor, sg: Subgraph) -> np.ndarray:
     """2 logits for one subgraph: encode, mean-pool nodes, decode."""
-    if sg.num_nodes == 0:
-        raise ValueError("empty subgraph")
-    prop = propagation_matrix(model.arch, sg.adjacency())
-    emb = _encode_forward(model, prop, sg.local_features)["h"][-1]
-    pooled = emb.mean(axis=0, keepdims=True)
-    return _decoder_forward(model, pooled)["logits"][0]
-
-
-def subgraph_logits(model: LinkPredictor, batch: SubgraphBatch) -> np.ndarray:
-    return np.stack([classify_subgraph(model, sg) for sg in batch.subgraphs])
+    return batch_logits(model, SubgraphBatch([sg], [sg.label]))[0]
 
 
 def batch_logits(model: LinkPredictor, batch) -> np.ndarray:
-    if isinstance(batch, PairBatch):
-        return pair_logits(model, batch)
-    return subgraph_logits(model, batch)
+    logits = np.empty((len(batch), 2))
+    for segment in batch.segments(model.arch):
+        logits[segment[3]] = _segment_forward(model, *segment)[1]["logits"]
+    return logits
 
 
 def loss_and_grads(model: LinkPredictor, batch, targets: np.ndarray | None = None,
                    with_feature_grads: bool = False):
-    """Full-batch loss and exact parameter gradients.
+    """Full-batch loss and exact parameter gradients, one segment at a time.
 
     `targets` overrides the batch's one-hot labels with an arbitrary
     distribution per example. Returns (loss, grads) or, when
-    `with_feature_grads` is set on a PairBatch, (loss, grads, d_features).
+    `with_feature_grads` is set, (loss, grads, d_features) with one row per
+    row of the segments' stacked features.
     """
     if targets is None:
         targets = batch.onehot_targets()
-    grads = zero_grads(model)
-    if isinstance(batch, PairBatch):
-        prop = batch.propagation(model.arch)
-        cache = _encode_forward(model, prop, batch.features)
-        emb = cache["h"][-1]
-        pairs = batch.pairs
-        x = emb[pairs[:, 0]] * emb[pairs[:, 1]]
-        dec = _decoder_forward(model, x)
-        loss, d_logits = cross_entropy(dec["logits"], targets)
-        dx = _decoder_backward(model, dec, d_logits, grads)
-        d_emb = np.zeros_like(emb)
-        np.add.at(d_emb, pairs[:, 0], dx * emb[pairs[:, 1]])
-        np.add.at(d_emb, pairs[:, 1], dx * emb[pairs[:, 0]])
-        d_features = _encode_backward(model, prop, cache, d_emb, grads)
-        if with_feature_grads:
-            return loss, grads, d_features
-        return loss, grads
-    if not isinstance(batch, SubgraphBatch):
-        raise TypeError(f"unsupported batch type {type(batch)!r}")
-    total = 0.0
-    n = len(batch)
-    for i, sg in enumerate(batch.subgraphs):
-        prop = batch.propagation(model.arch, i)
-        cache = _encode_forward(model, prop, sg.local_features)
-        emb = cache["h"][-1]
-        pooled = emb.mean(axis=0, keepdims=True)
-        dec = _decoder_forward(model, pooled)
+    grads = {name: np.zeros_like(val) for name, val in model.params.items()}
+    total, d_features = 0.0, []
+    for prop, features, readout, rows in batch.segments(model.arch):
+        enc, dec = _segment_forward(model, prop, features, readout, rows)
         logp = log_softmax(dec["logits"])
-        total += -float(np.sum(targets[i] * logp[0]))
-        d_logits = (softmax(dec["logits"]) - targets[i][None, :]) / n
-        d_pool = _decoder_backward(model, dec, d_logits, grads)
-        d_emb = np.repeat(d_pool / sg.num_nodes, sg.num_nodes, axis=0)
-        _encode_backward(model, prop, cache, d_emb, grads)
-    return total / n, grads
+        total -= float(np.sum(targets[rows] * logp))
+        dx = _decoder_backward(model, dec, (np.exp(logp) - targets[rows]) / len(batch), grads)
+        del dec  # peak memory: drop the decoder caches, recompute the factors
+        # an endpoint's gradient is dx times the other endpoint, a pooled
+        # block's is dx; the readout's transpose scatters them to the nodes
+        factors = _factors(readout, enc["h"][-1], rows)
+        d_factors = dx * factors[::-1] if len(factors) == 2 else dx[None]
+        d_emb = readout.T @ d_factors.reshape(-1, dx.shape[1])
+        d_in = _encode_backward(model, prop, enc, d_emb, grads)
+        if with_feature_grads:
+            d_features.append(d_in)
+    loss = total / len(batch)
+    return (loss, grads, np.vstack(d_features)) if with_feature_grads else (loss, grads)
 
 
 class AdamState:

@@ -8,6 +8,7 @@ import pytest
 
 from linkmark.attacks import ATTACK_KINDS
 from linkmark.cli import build_parser, main
+from linkmark.watermark import NodeRepWatermark, load_wm, save_wm
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -84,6 +85,20 @@ class TestPipeline:
         assert 0.0 <= report["auc_test"] <= 1.0
         assert 0.0 <= report["auc_wm"] <= 1.0
 
+    def test_eval_rejects_watermark_pair_outside_graph(self, pipeline, tmp_path, capsys):
+        out, _ = pipeline
+        wm = load_wm(out / "trigger.gwm")
+        pairs = wm.pairs.copy()
+        pairs[0, 1] = wm.num_nodes
+        save_wm(NodeRepWatermark(wm.num_nodes, wm.nodes, pairs, wm.labels, wm.edges,
+                                 wm.features, wm.vector, wm.rate), tmp_path / "bad.gwm")
+        rc = main(["eval", "--out", str(tmp_path), "--dataset",
+                   str(out / "dataset.npz"), "--checkpoint", str(out / "model.ckpt"),
+                   "--wm", str(tmp_path / "bad.gwm")])
+        assert rc == 1
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["error"] == "invalid_input" and "pair node ids" in doc["message"]
+
     def test_rerun_reproduces_artifact_hashes(self, pipeline, tmp_path):
         out, cfg = pipeline
         manifest = json.loads((out / "datagen_manifest.json").read_text())
@@ -92,6 +107,15 @@ class TestPipeline:
         assert rc == 0
         redone = json.loads((tmp_path / "datagen_manifest.json").read_text())
         assert redone["artifacts"] == manifest["artifacts"]
+
+    def test_train_without_wm_is_recorded_as_clean(self, pipeline, tmp_path, capsys):
+        out, cfg = pipeline  # the config names method "genie"
+        rc = main(["train", "--out", str(tmp_path), "--seed", "42", "--config", str(cfg),
+                   "--dataset", str(out / "dataset.npz"), "--epochs", "2"])
+        assert rc == 0
+        assert "trained gcn/clean " in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "train_manifest.json").read_text())
+        assert manifest["params"]["method"] == "clean"
 
     def test_train_then_eval_missing_file_errors(self, tmp_path, capsys):
         rc = main(["eval", "--out", str(tmp_path), "--dataset",

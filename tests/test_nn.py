@@ -4,7 +4,8 @@ import scipy.sparse as sp
 
 import linkmark as lm
 from linkmark.graph import Subgraph
-from linkmark.nn import (AdamState, PairBatch, SubgraphBatch, adam_step,
+from linkmark import nn
+from linkmark.nn import (SEGMENT_NODES, AdamState, PairBatch, SubgraphBatch, adam_step,
                          batch_logits, cross_entropy, encode, gcn_propagation,
                          log_softmax, loss_and_grads, nll_loss, positive_scores,
                          score_pairs, softmax)
@@ -22,6 +23,33 @@ def small_pair_batch(seed, arch="gcn", d=4):
     ds = lm.split_links(g, (0.8, 0.1, 0.1), seed=seed + 2)
     pairs, labels = ds.split_arrays("train")
     return PairBatch(ds.mp_adjacency, ds.features, pairs, labels)
+
+
+def khop_subgraph_batch(seed):
+    g = lm.generate_sbm(2, 5, 0.5, 0.1, seed=seed)
+    g = lm.init_features(g, 4, seed=seed + 1)
+    ds = lm.split_links(g, (0.8, 0.1, 0.1), seed=seed + 2)
+    pairs, labels = ds.split_arrays("train")
+    sgs = [lm.extract_khop(ds, (int(u), int(v)), 1, label=int(y))
+           for (u, v), y in zip(pairs[:4], labels[:4])]
+    return SubgraphBatch(sgs, labels[:4])
+
+
+# a run of three subgraphs, one larger than SEGMENT_NODES on its own, then a
+# run of two ending in a single node
+MULTI_SEGMENT_SIZES = (120, 100, 30, 300, 5, 1)
+
+
+def multi_segment_batch(seed, d=4):
+    """Random subgraphs over three block-diagonal segments; the last local
+    node of every subgraph is isolated."""
+    rng = np.random.default_rng(seed)
+    sgs = []
+    for i, n in enumerate(MULTI_SEGMENT_SIZES):
+        ends = rng.integers(0, max(n - 1, 1), size=(2 * n, 2))
+        edges = tuple(sorted({(int(u), int(v)) for u, v in ends if u < v}))
+        sgs.append(Subgraph(tuple(range(n)), edges, rng.normal(size=(n, d)), (0, n - 1), i % 2))
+    return SubgraphBatch(sgs, [sg.label for sg in sgs])
 
 
 class TestEncode:
@@ -148,15 +176,14 @@ class TestBackward:
         grads, numeric = finite_difference_grads(model, batch)
         assert max_rel_err(grads, numeric) < FD_TOL
 
-    @pytest.mark.parametrize("arch,seed", [("gcn", 14), ("sage", 15)])
-    def test_subgraph_gradients_match_fd(self, arch, seed):
-        g = lm.generate_sbm(2, 5, 0.5, 0.1, seed=seed)
-        g = lm.init_features(g, 4, seed=seed + 1)
-        ds = lm.split_links(g, (0.8, 0.1, 0.1), seed=seed + 2)
-        pairs, labels = ds.split_arrays("train")
-        sgs = [lm.extract_khop(ds, (int(u), int(v)), 1, label=int(y))
-               for (u, v), y in zip(pairs[:4], labels[:4])]
-        batch = SubgraphBatch(sgs, labels[:4])
+    @pytest.mark.parametrize("arch,seed,make_batch", [
+        pytest.param("gcn", 14, khop_subgraph_batch, id="gcn-14"),
+        pytest.param("sage", 15, khop_subgraph_batch, id="sage-15"),
+        pytest.param("gcn", 16, multi_segment_batch, id="gcn-16-segments"),
+        pytest.param("sage", 17, multi_segment_batch, id="sage-17-segments"),
+    ])
+    def test_subgraph_gradients_match_fd(self, arch, seed, make_batch):
+        batch = make_batch(seed)
         model = lm.LinkPredictor.init(arch, 4, 6, seed=seed)
         random_params(model, np.random.default_rng(seed))
         grads, numeric = finite_difference_grads(model, batch)
@@ -178,6 +205,76 @@ class TestBackward:
         _, _, d_features = loss_and_grads(model, batch, with_feature_grads=True)
         assert np.allclose(d_features[5:], 0.0)
         assert np.linalg.norm(d_features[:4]) > 0
+
+
+class TestSegments:
+    def test_runs_of_whole_subgraphs(self):
+        batch = multi_segment_batch(18)
+        rows = [seg[3] for seg in batch.segments("gcn")]
+        assert [(r.start, r.stop) for r in rows] == [(0, 3), (3, 4), (4, 6)]
+        for prop, features, pool, r in batch.segments("gcn"):
+            nodes = sum(MULTI_SEGMENT_SIZES[r.start:r.stop])
+            assert prop.shape == (nodes, nodes) and pool.shape == (r.stop - r.start, nodes)
+            assert nodes <= SEGMENT_NODES or r.stop - r.start == 1
+            assert np.allclose(pool.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize("arch", ["gcn", "sage"])
+    def test_batch_logits_match_rowwise_classify(self, arch):
+        batch = multi_segment_batch(19)
+        model = lm.LinkPredictor.init(arch, 4, 6, seed=20)
+        rowwise = np.stack([lm.classify_subgraph(model, sg) for sg in batch.subgraphs])
+        assert np.allclose(batch_logits(model, batch), rowwise, rtol=0, atol=1e-12)
+        # reference outside the segment code: encode alone, mean, decode
+        pooled = np.stack([encode(model, sg.adjacency(), sg.local_features).mean(axis=0)
+                           for sg in batch.subgraphs])
+        reference = nn._decoder_forward(model, pooled)["logits"]
+        assert np.allclose(batch_logits(model, batch), reference, rtol=0, atol=1e-12)
+        loss, _ = loss_and_grads(model, batch)
+        assert loss == pytest.approx(nll_loss(rowwise, batch.labels)[0], abs=1e-12)
+
+    def test_empty_subgraph_rejected_by_batch(self):
+        sg = Subgraph((0,), (), np.zeros((1, 4)), (0, 0), 0)
+        object.__setattr__(sg, "node_ids", ())
+        object.__setattr__(sg, "local_features", np.zeros((0, 4)))
+        ok = Subgraph((0, 1), ((0, 1),), np.ones((2, 4)), (0, 1), 1)
+        with pytest.raises(ValueError, match="empty subgraph"):
+            SubgraphBatch([ok, sg], [1, 0])
+
+    @pytest.mark.parametrize("node", [-1, None], ids=["negative", "n_nodes"])
+    def test_out_of_range_pair_rejected(self, node):
+        ok = small_pair_batch(25)
+        pairs = ok.pairs.copy()
+        pairs[0, 1] = len(ok.features) if node is None else node
+        model = lm.LinkPredictor.init("gcn", 4, 6, seed=26)
+        for score in (batch_logits, loss_and_grads):
+            with pytest.raises(ValueError, match="pair node ids"):
+                score(model, PairBatch(ok.adjacency, ok.features, pairs, ok.labels))
+
+    def test_subgraph_propagations_built_once(self, monkeypatch):
+        calls = []
+        real = nn.propagation_matrix
+        monkeypatch.setattr(nn, "propagation_matrix",
+                            lambda arch, adj: calls.append(arch) or real(arch, adj))
+        batch = multi_segment_batch(21)
+        model = lm.LinkPredictor.init("sage", 4, 6, seed=22)
+        loss_and_grads(model, batch)
+        assert len(calls) == len(batch)
+        loss_and_grads(model, batch)
+        assert len(calls) == len(batch)
+
+    def test_pair_incidence_built_once(self, monkeypatch):
+        builds = []
+        real = PairBatch._build
+        monkeypatch.setattr(PairBatch, "_build",
+                            lambda self, arch: builds.append(arch) or real(self, arch))
+        batch = small_pair_batch(23)
+        model = lm.LinkPredictor.init("gcn", 4, 6, seed=24)
+        loss_and_grads(model, batch)
+        readout = batch.segments("gcn")[0][2]
+        loss_and_grads(model, batch)
+        assert builds == ["gcn"]
+        assert batch.segments("gcn")[0][2] is readout
+        assert readout.shape == (2 * len(batch), len(batch.features))
 
 
 class TestAdam:
