@@ -64,16 +64,12 @@ def attacker_split(ds: LinkDataset, seed: int):
     positives and negatives split separately so both halves stay balanced."""
     pairs, labels = ds.split_arrays("test")
     rng = np.random.default_rng(seed)
-    halves = ([], [])
+    first = np.zeros(len(labels), dtype=bool)
     for cls in (1, 0):
         idx = np.flatnonzero(labels == cls)
-        idx = idx[rng.permutation(len(idx))]
-        cut = len(idx) // 2
-        halves[0].extend(idx[:cut].tolist())
-        halves[1].extend(idx[cut:].tolist())
-    first, second = (np.asarray(sorted(h)) for h in halves)
+        first[idx[rng.permutation(len(idx))][:len(idx) // 2]] = True
     mk = lambda sel: PairBatch(ds.mp_adjacency, ds.features, pairs[sel], labels[sel])
-    return mk(first), mk(second)
+    return mk(first), mk(~first)
 
 
 def finetune(model: LinkPredictor, attack_batch, mode: str, epochs: int = 50,

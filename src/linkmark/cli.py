@@ -19,10 +19,11 @@ import numpy as np
 
 from . import embed
 from .attacks import ATTACK_KINDS, attacker_split, make_report, run_attack
-from .graph import (generate_sbm, init_features, load_dataset, load_edge_list,
-                    load_features, save_dataset, save_edge_list, split_links)
-from .nn import LinkPredictor, PairBatch, TrainConfig, evaluate_auc
-from .protocol import ServeSession, WmParams, dispute, register
+from .graph import (SPLITS, build_subgraph_dataset, generate_sbm, init_features,
+                    load_dataset, load_edge_list, load_features, save_dataset,
+                    save_edge_list, split_links)
+from .nn import LinkPredictor, PairBatch, SubgraphBatch, TrainConfig, evaluate_auc
+from .protocol import ServeSession, WmParams, dispute, generate_watermark, register
 from .stats import dwt_threshold, shapiro_wilk, smoothed_bootstrap_test
 from .util import derive_seed, sha256_file, sha256_hex
 from .watermark import load_wm, save_wm, watermark_auc
@@ -98,17 +99,14 @@ def _train_cfg(doc: dict, args) -> TrainConfig:
     return cfg
 
 
-def _split_batches(ds, pathway="node_rep", hops=1):
+def _split_batches(ds, params: WmParams):
     """Per-split batches: scored pairs for node-representation models, or
     labeled k-hop subgraphs for subgraph classifiers."""
     out = {}
-    for split in ("train", "valid", "test"):
+    for split in SPLITS:
         pairs, labels = ds.split_arrays(split)
-        if pathway == "subgraph":
-            from .graph import build_subgraph_dataset
-            from .nn import SubgraphBatch
-
-            out[split] = SubgraphBatch(build_subgraph_dataset(ds, hops, split), labels)
+        if params.pathway == "subgraph":
+            out[split] = SubgraphBatch(build_subgraph_dataset(ds, params.hops, split), labels)
         else:
             out[split] = PairBatch(ds.mp_adjacency, ds.features, pairs, labels)
     return out
@@ -162,7 +160,7 @@ def cmd_split(args) -> int:
     save_dataset(ds, ds_path)
     params = {"seed": seed, "ratios": list(ratios), "edges": str(args.edges)}
     _write_manifest(out, "split", params, {"dataset.npz": ds_path})
-    counts = {s: len(ds.split_arrays(s)[1]) for s in ("train", "valid", "test")}
+    counts = {s: len(ds.split_arrays(s)[1]) for s in SPLITS}
     print(f"split sizes: {counts} -> {ds_path}")
     return EXIT_OK
 
@@ -171,13 +169,8 @@ def cmd_wm_gen(args) -> int:
     out = _out_dir(args)
     cfg = _load_config(args)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    params = WmParams(pathway=cfg.get("pathway", "node_rep"),
-                      rate=float(cfg.get("rate", 0.1)),
-                      hops=int(cfg.get("hops", 1)),
-                      split_ratios=tuple(cfg.get("ratios", (0.8, 0.1, 0.1))))
+    params = WmParams.from_json_dict(cfg)
     g = _load_graph(args.edges, args.features)
-    from .protocol import generate_watermark
-
     wm = generate_watermark(g, params, derive_seed(seed, "wm"))
     wm_path = out / "trigger.gwm"
     save_wm(wm, wm_path)
@@ -193,8 +186,7 @@ def cmd_train(args) -> int:
     cfg = _train_cfg(doc, args)
     cfg.method = cfg.method if args.wm else "clean"
     ds = load_dataset(args.dataset)
-    batches = _split_batches(ds, doc.get("pathway", "node_rep"),
-                             int(doc.get("hops", 1)))
+    batches = _split_batches(ds, WmParams.from_json_dict(doc))
     wm_batch = load_wm(args.wm).batch() if args.wm else None
     model = LinkPredictor.init(cfg.arch, ds.features.shape[1], cfg.hidden_dim,
                                derive_seed(cfg.seed, "init"))
@@ -210,8 +202,7 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     doc = _load_config(args)
     ds = load_dataset(args.dataset)
-    batches = _split_batches(ds, doc.get("pathway", "node_rep"),
-                             int(doc.get("hops", 1)))
+    batches = _split_batches(ds, WmParams.from_json_dict(doc))
     model = LinkPredictor.load(args.checkpoint)
     report = {
         "auc_test": evaluate_auc(model, batches["test"]),
@@ -230,17 +221,13 @@ def cmd_eval(args) -> int:
 
 def _threshold_task(task: dict) -> dict:
     """One (seed, kind) model training for threshold estimation; runs in a
-    worker process, so everything arrives via paths and plain values."""
+    worker process, so everything arrives via paths, plain values and WmParams."""
     ds = load_dataset(task["dataset"])
-    batches = _split_batches(ds, task["pathway"], task.get("hops", 1))
+    batches = _split_batches(ds, task["params"])
     cfg = TrainConfig.from_json_dict(task["cfg"])
     cfg.seed = task["seed"]
-    from .protocol import generate_watermark
-
     wm = generate_watermark(_load_graph(task["edges"], task["features"]),
-                            WmParams(pathway=task["pathway"], rate=task["rate"],
-                                     hops=task.get("hops", 1)),
-                            derive_seed(task["seed"], "wm"))
+                            task["params"], derive_seed(task["seed"], "wm"))
     model = LinkPredictor.init(cfg.arch, ds.features.shape[1], cfg.hidden_dim,
                                derive_seed(cfg.seed, "init"))
     method = "clean" if task["kind"] == "clean" else cfg.method
@@ -257,9 +244,7 @@ def _cohort_aucs(args, cfg_doc: dict, seed: int, count: int):
               "features": str(args.features) if args.features else None,
               "cfg": TrainConfig.from_json_dict(cfg_doc).to_json_dict(),
               "seed": derive_seed(seed, f"{kind}{i}"), "kind": kind,
-              "pathway": cfg_doc.get("pathway", "node_rep"),
-              "hops": int(cfg_doc.get("hops", 1)),
-              "rate": float(cfg_doc.get("rate", 0.1))}
+              "params": WmParams.from_json_dict(cfg_doc)}
              for kind in ("clean", "wm") for i in range(count)]
     results = _pool_map(_threshold_task, tasks, _resolve_jobs(args))
     results.sort(key=lambda r: (r["kind"], r["seed"]))
@@ -326,9 +311,7 @@ def cmd_register(args) -> int:
     cfg = _load_config(args)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     g = _load_graph(args.edges, args.features)
-    params = WmParams(pathway=cfg.get("pathway", "node_rep"),
-                      rate=float(cfg.get("rate", 0.1)),
-                      hops=int(cfg.get("hops", 1)))
+    params = WmParams.from_json_dict(cfg)
     wm, record = register(g, params, args.board, args.who, derive_seed(seed, "wm"))
     wm_path = out / "trigger.gwm"
     save_wm(wm, wm_path)

@@ -73,33 +73,42 @@ class Graph:
 
 
 def edges_to_adjacency(num_nodes: int, edges) -> sp.csr_matrix:
-    """Symmetric 0/1 CSR adjacency from an iterable of (u, v) pairs."""
+    """Symmetric 0/1 CSR adjacency from (u, v) pairs: a sequence or N x 2 array."""
     if len(edges) == 0:
         return sp.csr_matrix((num_nodes, num_nodes))
-    arr = np.asarray(list(edges), dtype=np.int64)
-    rows = np.concatenate([arr[:, 0], arr[:, 1]])
-    cols = np.concatenate([arr[:, 1], arr[:, 0]])
-    data = np.ones(len(rows))
-    return sp.csr_matrix((data, (rows, cols)), shape=(num_nodes, num_nodes))
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    rows, cols = np.concatenate([arr, arr[:, ::-1]]).T
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(num_nodes, num_nodes))
 
 
-@dataclass(frozen=True)
-class LabeledPair:
-    u: int
-    v: int
-    label: int
-    split: str
+SPLITS = ("train", "valid", "test")
 
 
 @dataclass(frozen=True)
 class LinkDataset:
     """Labeled node pairs with train/valid/test tags plus the message-passing
     adjacency, which holds train-split positive edges only (hidden valid/test
-    edges never leak into propagation)."""
+    edges never leak into propagation). `pairs` is N x 2 int64, `labels` N
+    int64 in {0, 1}, `splits` N int8 codes into SPLITS; checked before cast."""
 
     mp_adjacency: sp.csr_matrix
-    pairs: tuple
+    pairs: np.ndarray
+    labels: np.ndarray
+    splits: np.ndarray
     features: np.ndarray
+
+    def __post_init__(self):
+        pairs, labels, splits = map(np.asarray, (self.pairs, self.labels, self.splits))
+        n = len(pairs) if pairs.ndim else -1
+        if pairs.shape != (n, 2) or labels.shape != (n,) or splits.shape != (n,):
+            raise ValueError("pairs, labels and splits differ in length")
+        if not np.isin(labels, (0, 1)).all():
+            raise ValueError("pair labels must be 0 or 1")
+        if not np.isin(splits, range(len(SPLITS))).all():
+            raise ValueError(f"split codes must lie in 0-{len(SPLITS) - 1}")
+        for name, value, dtype in (("pairs", pairs, np.int64), ("labels", labels, np.int64),
+                                   ("splits", splits, np.int8)):
+            object.__setattr__(self, name, value.astype(dtype))
 
     @property
     def num_nodes(self) -> int:
@@ -107,12 +116,8 @@ class LinkDataset:
 
     def split_arrays(self, split: str):
         """(pairs N x 2, labels N) for one split, in stored order."""
-        sel = [p for p in self.pairs if p.split == split]
-        if not sel:
-            return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
-        pairs = np.array([[p.u, p.v] for p in sel], dtype=np.int64)
-        labels = np.array([p.label for p in sel], dtype=np.int64)
-        return pairs, labels
+        mask = self.splits == SPLITS.index(split)
+        return self.pairs[mask], self.labels[mask]
 
 
 @dataclass(frozen=True)
@@ -141,10 +146,6 @@ class Subgraph:
 
     def adjacency(self) -> sp.csr_matrix:
         return edges_to_adjacency(self.num_nodes, self.local_edges)
-
-    def with_features(self, features: np.ndarray) -> "Subgraph":
-        return Subgraph(self.node_ids, self.local_edges,
-                        np.asarray(features, dtype=float), self.anchor, self.label)
 
 
 def load_edge_list(path) -> Graph:
@@ -271,29 +272,21 @@ def _sample_non_edges(g: Graph, count: int, rng: np.random.Generator) -> np.ndar
     if total_pairs <= 5_000_000:
         iu, ju = np.triu_indices(n, k=1)
         mask = np.ones(total_pairs, dtype=bool)
-        if g.num_edges:
-            arr = np.asarray(g.edges, dtype=np.int64)
-            # index of pair (u,v), u<v, in row-major upper-triangle order
-            u, v = arr[:, 0], arr[:, 1]
-            idx = u * n - u * (u + 1) // 2 + (v - u - 1)
-            mask[idx] = False
+        # index of pair (u,v), u<v, in row-major upper-triangle order
+        u, v = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2).T
+        mask[u * n - u * (u + 1) // 2 + (v - u - 1)] = False
         pool = np.flatnonzero(mask)
         pick = rng.choice(pool, size=count, replace=False)
         return np.stack([iu[pick], ju[pick]], axis=1).astype(np.int64)
     edge_set = g.edge_set()
-    chosen: set = set()
-    out = []
-    while len(out) < count:
+    chosen: dict = {}  # an insertion-ordered set
+    while len(chosen) < count:
         u = int(rng.integers(0, n))
         v = int(rng.integers(0, n))
-        if u == v:
-            continue
         pair = (min(u, v), max(u, v))
-        if pair in edge_set or pair in chosen:
-            continue
-        chosen.add(pair)
-        out.append(pair)
-    return np.asarray(out, dtype=np.int64)
+        if u != v and pair not in edge_set:
+            chosen[pair] = None
+    return np.asarray(list(chosen), dtype=np.int64)
 
 
 def split_links(g: Graph, ratios, seed: int) -> LinkDataset:
@@ -302,27 +295,18 @@ def split_links(g: Graph, ratios, seed: int) -> LinkDataset:
     message-passing adjacency keeps only train positives."""
     n_train, n_valid, n_test = _split_counts(g.num_edges, ratios)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(g.num_edges)
-    edges = [g.edges[i] for i in order]
-    pos = {
-        "train": edges[:n_train],
-        "valid": edges[n_train:n_train + n_valid],
-        "test": edges[n_train + n_valid:],
-    }
+    positives = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)[rng.permutation(g.num_edges)]
     negatives = _sample_non_edges(g, g.num_edges, rng)
-    neg = {
-        "train": negatives[:n_train],
-        "valid": negatives[n_train:n_train + n_valid],
-        "test": negatives[n_train + n_valid:],
-    }
-    pairs = []
-    for split in ("train", "valid", "test"):
-        for u, v in pos[split]:
-            pairs.append(LabeledPair(int(u), int(v), 1, split))
-        for u, v in neg[split]:
-            pairs.append(LabeledPair(int(u), int(v), 0, split))
-    mp_adjacency = edges_to_adjacency(g.num_nodes, pos["train"])
-    return LinkDataset(mp_adjacency, tuple(pairs), g.features)
+    bounds = np.cumsum([0, n_train, n_valid, n_test])
+    # per split: its positives, then as many negatives
+    blocks = [part[lo:hi] for lo, hi in zip(bounds, bounds[1:])
+              for part in (positives, negatives)]
+    sizes = [len(block) for block in blocks]
+    return LinkDataset(edges_to_adjacency(g.num_nodes, positives[:n_train]),
+                       np.concatenate(blocks),
+                       np.repeat(np.tile([1, 0], len(SPLITS)), sizes),
+                       np.repeat(np.repeat(np.arange(len(SPLITS)), 2), sizes),
+                       g.features)
 
 
 def extract_khop(ds: LinkDataset, pair, k: int, label: int = 0) -> Subgraph:
@@ -367,10 +351,6 @@ def build_subgraph_dataset(ds: LinkDataset, k: int, split: str) -> list:
             for p, y in zip(pairs, labels)]
 
 
-_SPLIT_CODES = {"train": 0, "valid": 1, "test": 2}
-_CODE_SPLITS = {v: k for k, v in _SPLIT_CODES.items()}
-
-
 def save_dataset(ds: LinkDataset, path) -> None:
     """npz snapshot of a LinkDataset (message-passing edges, labeled pairs,
     features); loading restores an identical dataset."""
@@ -378,18 +358,17 @@ def save_dataset(ds: LinkDataset, path) -> None:
     np.savez(path,
              num_nodes=np.int64(ds.num_nodes),
              mp_edges=np.stack([mp.row, mp.col], axis=1).astype(np.int64),
-             pair_u=np.array([p.u for p in ds.pairs], dtype=np.int64),
-             pair_v=np.array([p.v for p in ds.pairs], dtype=np.int64),
-             labels=np.array([p.label for p in ds.pairs], dtype=np.int64),
-             splits=np.array([_SPLIT_CODES[p.split] for p in ds.pairs], dtype=np.int8),
+             pair_u=ds.pairs[:, 0], pair_v=ds.pairs[:, 1],
+             labels=ds.labels, splits=ds.splits,
              features=ds.features)
 
 
 def load_dataset(path) -> LinkDataset:
+    """Inverse of save_dataset; raises ValueError on inconsistent arrays."""
     with np.load(path) as doc:
-        num_nodes = int(doc["num_nodes"])
-        mp_adjacency = edges_to_adjacency(num_nodes, doc["mp_edges"])
-        pairs = tuple(LabeledPair(int(u), int(v), int(y), _CODE_SPLITS[int(s)])
-                      for u, v, y, s in zip(doc["pair_u"], doc["pair_v"],
-                                            doc["labels"], doc["splits"]))
-        return LinkDataset(mp_adjacency, pairs, doc["features"])
+        pair_u, pair_v = doc["pair_u"], doc["pair_v"]
+        if pair_u.shape != pair_v.shape:
+            raise ValueError("pair_u and pair_v differ in length")
+        return LinkDataset(edges_to_adjacency(int(doc["num_nodes"]), doc["mp_edges"]),
+                           np.stack([pair_u, pair_v], axis=-1), doc["labels"],
+                           doc["splits"], doc["features"])

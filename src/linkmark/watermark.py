@@ -15,9 +15,10 @@ what registration hashes. Pair and edge lists are sorted, so equal watermarks
 always produce identical bytes.
 """
 
-import io
+import itertools
 import math
 import struct
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +29,10 @@ from .nn import PairBatch, SubgraphBatch, evaluate_auc
 _MAGIC = b"GWM1"
 _KIND_NODE_REP = 0
 _KIND_SUBGRAPH = 1
+# record layouts; `_PAIR` is packed to 9 bytes (no padding before the label)
+_ID = np.dtype([("id", "<u4")])
+_EDGE = np.dtype([("u", "<u4"), ("v", "<u4")])
+_PAIR = np.dtype([("u", "<u4"), ("v", "<u4"), ("label", "u1")])
 # absorbs float noise at exact-integer ceil boundaries (e.g. 0.35 * 20)
 _CEIL_EPS = 1e-9
 
@@ -42,6 +47,8 @@ class NodeRepWatermark:
     """Trigger set for node-representation models: modified graph state plus
     labeled internal pairs of the sampled subset."""
 
+    kind = "node_rep"
+
     def __init__(self, num_nodes: int, nodes: np.ndarray, pairs: np.ndarray,
                  labels: np.ndarray, edges, features: np.ndarray,
                  vector: np.ndarray, rate: float):
@@ -49,22 +56,23 @@ class NodeRepWatermark:
         self.nodes = np.asarray(nodes, dtype=np.int64)
         self.pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         self.labels = np.asarray(labels, dtype=np.int64)
-        self.edges = tuple(sorted((int(u), int(v)) for u, v in edges))
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        self.edge_array = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
         self.features = np.asarray(features, dtype=float)
         self.vector = np.asarray(vector, dtype=float)
         self.rate = float(rate)
 
-    @property
-    def kind(self) -> str:
-        return "node_rep"
+    @cached_property
+    def edges(self) -> tuple:
+        """The flipped graph's edges as sorted (u, v) tuples."""
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     def adjacency(self) -> sp.csr_matrix:
-        return edges_to_adjacency(self.num_nodes, self.edges)
+        return edges_to_adjacency(self.num_nodes, self.edge_array)
 
     def internal_pair_set(self) -> frozenset:
         """Every unordered pair inside the sampled subset: the flip set."""
-        s = sorted(int(v) for v in self.nodes)
-        return frozenset((u, v) for i, u in enumerate(s) for v in s[i + 1:])
+        return frozenset(itertools.combinations(sorted(self.nodes.tolist()), 2))
 
     def batch(self) -> PairBatch:
         return PairBatch(self.adjacency(), self.features, self.pairs, self.labels)
@@ -77,6 +85,8 @@ class SubgraphWatermark:
     """Trigger set for subgraph classifiers: feature-replaced subgraphs with
     inverted labels."""
 
+    kind = "subgraph"
+
     def __init__(self, subgraphs, labels: np.ndarray, vector: np.ndarray,
                  rate: float, indices=None):
         self.subgraphs = list(subgraphs)
@@ -86,10 +96,6 @@ class SubgraphWatermark:
         self.indices = None if indices is None else np.asarray(indices, dtype=np.int64)
         if len(self.subgraphs) != len(self.labels):
             raise ValueError("one label per subgraph required")
-
-    @property
-    def kind(self) -> str:
-        return "subgraph"
 
     def batch(self) -> SubgraphBatch:
         return SubgraphBatch(self.subgraphs, self.labels)
@@ -116,21 +122,17 @@ def build_node_rep_wm(g: Graph, nodes: np.ndarray, vector: np.ndarray,
                       rate: float) -> NodeRepWatermark:
     """Deterministic core: flip all internal pairs of `nodes` and substitute
     their feature rows with `vector`."""
-    nodes = np.asarray(sorted(int(v) for v in nodes), dtype=np.int64)
-    node_set = set(nodes.tolist())
-    edge_set = g.edge_set()
-    internal = [(u, v) for i, u in enumerate(nodes.tolist())
-                for v in nodes.tolist()[i + 1:]]
-    induced = [p for p in internal if p in edge_set]
-    absent = [p for p in internal if p not in edge_set]
-    pairs = np.asarray(internal, dtype=np.int64).reshape(-1, 2)
-    labels = np.asarray([0 if p in edge_set else 1 for p in internal], dtype=np.int64)
-    flipped_edges = [e for e in g.edges if not (e[0] in node_set and e[1] in node_set)]
-    flipped_edges.extend(absent)
+    nodes = np.sort(np.asarray(nodes, dtype=np.int64))
+    edges = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+    iu, ju = np.triu_indices(len(nodes), k=1)
+    pairs = np.stack([nodes[iu], nodes[ju]], axis=1)
+    key = lambda p: p[:, 0] * g.num_nodes + p[:, 1]
+    labels = (~np.isin(key(pairs), key(edges))).astype(np.int64)
+    outside = edges[~np.isin(edges, nodes).all(axis=1)]
     features = g.features.copy()
     features[nodes] = vector
-    assert len(induced) + len(absent) == len(internal)
-    return NodeRepWatermark(g.num_nodes, nodes, pairs, labels, flipped_edges,
+    return NodeRepWatermark(g.num_nodes, nodes, pairs, labels,
+                            np.concatenate([outside, pairs[labels == 1]]),
                             features, vector, rate)
 
 
@@ -147,113 +149,115 @@ def gen_subgraph_wm(train_subgraphs, rate: float, vector: np.ndarray,
     rng = np.random.default_rng(seed)
     indices = np.sort(rng.choice(total, size=count, replace=False))
     vector = np.asarray(vector, dtype=float)
-    modified = []
-    labels = []
-    for idx in indices.tolist():
-        sg = train_subgraphs[idx]
-        feats = np.tile(vector, (sg.num_nodes, 1))
-        inverted = 1 - int(sg.label)
-        modified.append(Subgraph(sg.node_ids, sg.local_edges, feats, sg.anchor, inverted))
-        labels.append(inverted)
-    return SubgraphWatermark(modified, np.asarray(labels), vector, rate, indices)
+    modified = [Subgraph(sg.node_ids, sg.local_edges, np.tile(vector, (sg.num_nodes, 1)),
+                         sg.anchor, 1 - int(sg.label))
+                for sg in (train_subgraphs[i] for i in indices.tolist())]
+    return SubgraphWatermark(modified, [sg.label for sg in modified], vector, rate, indices)
 
 
-def _pack_pairs(out: io.BytesIO, pairs) -> None:
-    out.write(struct.pack("<I", len(pairs)))
-    for u, v in pairs:
-        out.write(struct.pack("<II", int(u), int(v)))
+def _records(dtype: np.dtype, what: str, rows) -> bytes:
+    """One `dtype` record per row, one column per field. Each column is
+    range-checked before the cast, so a bad value raises instead of wrapping."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(dtype.names))
+    records = np.empty(len(rows), dtype)
+    for name, column in zip(dtype.names, rows.T):
+        info = np.iinfo(dtype[name])
+        if column.size and (column.min() < info.min or column.max() > info.max):
+            raise ValueError(f"{what} {name} outside {info.min}-{info.max}")
+        records[name] = column
+    return records.tobytes()
+
+
+def _counted(dtype: np.dtype, what: str, rows) -> bytes:
+    records = _records(dtype, what, rows)
+    return struct.pack("<I", len(records) // dtype.itemsize) + records
 
 
 def serialize_wm(wm) -> bytes:
     """Canonical byte encoding; registration hashes these bytes."""
-    out = io.BytesIO()
-    out.write(_MAGIC)
     if isinstance(wm, NodeRepWatermark):
-        out.write(struct.pack("<B", _KIND_NODE_REP))
-        d = wm.features.shape[1]
-        out.write(struct.pack("<IId", wm.num_nodes, d, wm.rate))
-        out.write(struct.pack("<I", len(wm.nodes)))
-        out.write(np.asarray(np.sort(wm.nodes), dtype="<u4").tobytes())
         order = np.lexsort((wm.pairs[:, 1], wm.pairs[:, 0]))
-        out.write(struct.pack("<I", len(order)))
-        for i in order:
-            out.write(struct.pack("<IIB", int(wm.pairs[i, 0]), int(wm.pairs[i, 1]),
-                                  int(wm.labels[i])))
-        _pack_pairs(out, wm.edges)
-        out.write(np.asarray(wm.vector, dtype="<f8").tobytes())
-        out.write(np.ascontiguousarray(wm.features, dtype="<f8").tobytes())
-        return out.getvalue()
+        return b"".join([
+            struct.pack("<4sBIId", _MAGIC, _KIND_NODE_REP, wm.num_nodes,
+                        wm.features.shape[1], wm.rate),
+            _counted(_ID, "node", np.sort(wm.nodes)),
+            _counted(_PAIR, "pair", np.column_stack([wm.pairs, wm.labels])[order]),
+            _counted(_EDGE, "edge", wm.edge_array),
+            np.asarray(wm.vector, dtype="<f8").tobytes(),
+            np.ascontiguousarray(wm.features, dtype="<f8").tobytes()])
     if isinstance(wm, SubgraphWatermark):
-        out.write(struct.pack("<B", _KIND_SUBGRAPH))
-        d = len(wm.vector)
-        out.write(struct.pack("<Id", d, wm.rate))
-        out.write(np.asarray(wm.vector, dtype="<f8").tobytes())
-        records = []
-        for sg, label in zip(wm.subgraphs, wm.labels.tolist()):
-            rec = io.BytesIO()
-            rec.write(struct.pack("<I", sg.num_nodes))
-            rec.write(np.asarray(sg.node_ids, dtype="<u4").tobytes())
-            _pack_pairs(rec, sorted(sg.local_edges))
-            rec.write(struct.pack("<IIB", int(sg.anchor[0]), int(sg.anchor[1]), int(label)))
-            records.append(rec.getvalue())
-        out.write(struct.pack("<I", len(records)))
-        for rec in sorted(records):
-            out.write(struct.pack("<I", len(rec)))
-            out.write(rec)
-        return out.getvalue()
+        records = sorted(b"".join([_counted(_ID, "node", sg.node_ids),
+                                   _counted(_EDGE, "edge", sorted(sg.local_edges)),
+                                   _records(_PAIR, "anchor", [(*sg.anchor, label)])])
+                         for sg, label in zip(wm.subgraphs, wm.labels.tolist()))
+        return b"".join([struct.pack("<4sBId", _MAGIC, _KIND_SUBGRAPH, len(wm.vector), wm.rate),
+                         np.asarray(wm.vector, dtype="<f8").tobytes(),
+                         struct.pack("<I", len(records))]
+                        + [struct.pack("<I", len(rec)) + rec for rec in records])
     raise TypeError(f"cannot serialize {type(wm)!r}")
 
 
+class _Cursor:
+    """Bounded reader over a blob: each read checks its size against the
+    bytes that remain before anything is allocated."""
+
+    def __init__(self, data):
+        self.data = memoryview(data)
+        self.pos = 0
+
+    def take(self, size: int) -> memoryview:
+        if size > len(self.data) - self.pos:
+            raise ValueError(f"truncated watermark blob: {size} bytes wanted at offset "
+                             f"{self.pos}, {len(self.data) - self.pos} left")
+        self.pos += size
+        return self.data[self.pos - size:self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dtype, count: int) -> np.ndarray:
+        return np.frombuffer(self.take(count * np.dtype(dtype).itemsize), dtype).copy()
+
+    def counted(self, dtype) -> np.ndarray:
+        (count,) = self.unpack("<I")
+        return self.array(dtype, count)
+
+    def finish(self, what: str) -> None:
+        if self.pos != len(self.data):
+            raise ValueError(f"{len(self.data) - self.pos} trailing bytes in {what}")
+
+
 def deserialize_wm(data: bytes):
-    try:
-        return _deserialize_wm(data)
-    except struct.error as exc:
-        raise ValueError(f"truncated watermark blob: {exc}") from exc
-
-
-def _deserialize_wm(data: bytes):
-    buf = io.BytesIO(data)
-    if buf.read(len(_MAGIC)) != _MAGIC:
+    """Inverse of serialize_wm; any malformed blob raises ValueError."""
+    cur = _Cursor(data)
+    magic, kind = cur.unpack("<4sB")
+    if magic != _MAGIC:
         raise ValueError("not a watermark blob")
-    (kind,) = struct.unpack("<B", buf.read(1))
     if kind == _KIND_NODE_REP:
-        num_nodes, d, rate = struct.unpack("<IId", buf.read(16))
-        (n_s,) = struct.unpack("<I", buf.read(4))
-        nodes = np.frombuffer(buf.read(4 * n_s), dtype="<u4").astype(np.int64)
-        (n_pairs,) = struct.unpack("<I", buf.read(4))
-        pairs = np.empty((n_pairs, 2), dtype=np.int64)
-        labels = np.empty(n_pairs, dtype=np.int64)
-        for i in range(n_pairs):
-            u, v, y = struct.unpack("<IIB", buf.read(9))
-            pairs[i] = (u, v)
-            labels[i] = y
-        (n_edges,) = struct.unpack("<I", buf.read(4))
-        edges = [struct.unpack("<II", buf.read(8)) for _ in range(n_edges)]
-        vector = np.frombuffer(buf.read(8 * d), dtype="<f8").copy()
-        features = np.frombuffer(buf.read(8 * num_nodes * d), dtype="<f8").reshape(num_nodes, d).copy()
-        if buf.read(1):
-            raise ValueError("trailing bytes in watermark blob")
-        return NodeRepWatermark(num_nodes, nodes, pairs, labels, edges, features, vector, rate)
+        num_nodes, d, rate = cur.unpack("<IId")
+        nodes, pairs, edges = [cur.counted(dtype) for dtype in (_ID, _PAIR, _EDGE)]
+        vector = cur.array("<f8", d)
+        features = cur.array("<f8", num_nodes * d).reshape(num_nodes, d)
+        cur.finish("watermark blob")
+        return NodeRepWatermark(num_nodes, nodes["id"], np.stack([pairs["u"], pairs["v"]], axis=1),
+                                pairs["label"], np.stack([edges["u"], edges["v"]], axis=1),
+                                features, vector, rate)
     if kind == _KIND_SUBGRAPH:
-        d, rate = struct.unpack("<Id", buf.read(12))
-        vector = np.frombuffer(buf.read(8 * d), dtype="<f8").copy()
-        (count,) = struct.unpack("<I", buf.read(4))
+        d, rate = cur.unpack("<Id")
+        vector = cur.array("<f8", d)
+        (count,) = cur.unpack("<I")
         subgraphs = []
-        labels = []
         for _ in range(count):
-            (rec_len,) = struct.unpack("<I", buf.read(4))
-            rec = io.BytesIO(buf.read(rec_len))
-            (n,) = struct.unpack("<I", rec.read(4))
-            node_ids = tuple(np.frombuffer(rec.read(4 * n), dtype="<u4").astype(int).tolist())
-            (n_edges,) = struct.unpack("<I", rec.read(4))
-            edges = tuple(struct.unpack("<II", rec.read(8)) for _ in range(n_edges))
-            a0, a1, label = struct.unpack("<IIB", rec.read(9))
-            feats = np.tile(vector, (n, 1))
-            subgraphs.append(Subgraph(node_ids, edges, feats, (a0, a1), int(label)))
-            labels.append(int(label))
-        if buf.read(1):
-            raise ValueError("trailing bytes in watermark blob")
-        return SubgraphWatermark(subgraphs, np.asarray(labels), vector, rate)
+            rec = _Cursor(cur.take(cur.unpack("<I")[0]))
+            node_ids = tuple(rec.counted(_ID)["id"].tolist())
+            edges = tuple(rec.counted(_EDGE).tolist())
+            ((a0, a1, label),) = rec.array(_PAIR, 1).tolist()
+            rec.finish("subgraph record")
+            # every feature row is the secret vector: a read-only view, not n copies
+            subgraphs.append(Subgraph(node_ids, edges, np.broadcast_to(vector, (len(node_ids), d)),
+                                      (a0, a1), label))
+        cur.finish("watermark blob")
+        return SubgraphWatermark(subgraphs, [sg.label for sg in subgraphs], vector, rate)
     raise ValueError(f"unknown watermark kind {kind}")
 
 

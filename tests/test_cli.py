@@ -335,6 +335,35 @@ def test_subgraph_pathway_through_cli(pipeline, tmp_path):
     assert 0.0 <= report["auc_wm"] <= 1.0
 
 
+def test_register_writes_the_wm_gen_trigger_set(pipeline, tmp_path):
+    """The judge's registered bytes must be the owner's `wm-gen` file, also
+    when the config sets the split ratios the subgraph pathway samples from."""
+    out, _ = pipeline
+    cfg = tmp_path / "sg.json"
+    cfg.write_text(json.dumps({"pathway": "subgraph", "rate": 0.2, "hops": 1,
+                               "ratios": [0.6, 0.2, 0.2]}))
+    common = ["--seed", "42", "--config", str(cfg), "--edges", str(out / "graph.edges"),
+              "--features", str(out / "graph.features")]
+    assert main(["wm-gen", "--out", str(tmp_path / "gen")] + common) == 0
+    assert main(["register", "--out", str(tmp_path / "reg"), "--who", "owner",
+                 "--board", str(tmp_path / "board.jsonl")] + common) == 0
+    owner = (tmp_path / "gen" / "trigger.gwm").read_bytes()
+    assert owner == (tmp_path / "reg" / "trigger.gwm").read_bytes()
+
+
+def test_eval_rejects_dataset_with_bad_split_code(pipeline, tmp_path, capsys):
+    out, _ = pipeline
+    with np.load(out / "dataset.npz") as doc:
+        arrays = dict(doc)
+    arrays["splits"] = np.full_like(arrays["splits"], 3)
+    np.savez(tmp_path / "bad.npz", **arrays)
+    rc = main(["eval", "--out", str(tmp_path), "--dataset", str(tmp_path / "bad.npz"),
+               "--checkpoint", str(out / "model.ckpt")])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "invalid_input" and "split codes" in doc["message"]
+
+
 def test_attack_matrix_script_subset(pipeline, tmp_path):
     out, _ = pipeline
     csv_path = tmp_path / "matrix.csv"

@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linkmark as lm
-from linkmark.graph import (EdgeListParseError, NoNegativesAvailable,
+from linkmark.graph import (SPLITS, EdgeListParseError, NoNegativesAvailable,
                             SelfLoopError, load_dataset, load_features,
                             save_dataset, save_edge_list)
+
+
+def pair_set(ds, mask) -> set:
+    return {(int(u), int(v)) for u, v in ds.pairs[mask]}
 
 
 def write(tmp_path, text, name="g.edges"):
@@ -124,8 +128,8 @@ class TestSplitLinks:
             lm.split_links(k5, (0.8, 0.1, 0.1), seed=1)
 
     def test_positive_negative_disjoint(self, toy_graph, toy_dataset):
-        pos = {(p.u, p.v) for p in toy_dataset.pairs if p.label == 1}
-        neg = {(p.u, p.v) for p in toy_dataset.pairs if p.label == 0}
+        pos = pair_set(toy_dataset, toy_dataset.labels == 1)
+        neg = pair_set(toy_dataset, toy_dataset.labels == 0)
         assert pos & neg == set()
         assert pos == toy_graph.edge_set()
         assert all(pair not in toy_graph.edge_set() for pair in neg)
@@ -133,8 +137,8 @@ class TestSplitLinks:
     def test_positives_partition_edges(self, toy_graph, toy_dataset):
         per_split = {}
         for split in ("train", "valid", "test"):
-            per_split[split] = {(p.u, p.v) for p in toy_dataset.pairs
-                                if p.label == 1 and p.split == split}
+            per_split[split] = pair_set(toy_dataset, (toy_dataset.labels == 1)
+                                        & (toy_dataset.splits == SPLITS.index(split)))
         assert per_split["train"] | per_split["valid"] | per_split["test"] == toy_graph.edge_set()
         assert not per_split["train"] & per_split["valid"]
         assert not per_split["train"] & per_split["test"]
@@ -143,8 +147,8 @@ class TestSplitLinks:
     def test_mp_adjacency_symmetric_and_train_only(self, toy_dataset):
         mp = toy_dataset.mp_adjacency
         assert (mp != mp.T).nnz == 0
-        hidden = [(p.u, p.v) for p in toy_dataset.pairs
-                  if p.label == 1 and p.split != "train"]
+        hidden = pair_set(toy_dataset, (toy_dataset.labels == 1)
+                          & (toy_dataset.splits != SPLITS.index("train")))
         for u, v in hidden:
             assert mp[u, v] == 0 and mp[v, u] == 0
 
@@ -153,16 +157,15 @@ class TestSplitLinks:
     def test_negatives_never_edges(self, seed):
         g = lm.generate_sbm(2, 8, 0.5, 0.2, seed=5)
         ds = lm.split_links(g, (0.8, 0.1, 0.1), seed=seed)
-        for p in ds.pairs:
-            if p.label == 0:
-                assert (min(p.u, p.v), max(p.u, p.v)) not in g.edge_set()
+        for u, v in pair_set(ds, ds.labels == 0):
+            assert (min(u, v), max(u, v)) not in g.edge_set()
 
     def test_rejection_sampler_on_large_sparse_graph(self):
         # 4000 nodes exceed the enumeration bound, forcing rejection sampling
         edges = [(i, i + 1) for i in range(200)]
         g = lm.Graph.from_edges(4000, edges)
         ds = lm.split_links(g, (0.8, 0.1, 0.1), seed=3)
-        negs = {(p.u, p.v) for p in ds.pairs if p.label == 0}
+        negs = pair_set(ds, ds.labels == 0)
         assert len(negs) == g.num_edges
         assert not negs & g.edge_set()
 
@@ -214,6 +217,43 @@ def test_dataset_roundtrip(tmp_path, toy_dataset):
     path = tmp_path / "ds.npz"
     save_dataset(toy_dataset, path)
     back = load_dataset(path)
-    assert back.pairs == toy_dataset.pairs
+    for key in ("pairs", "labels", "splits"):
+        assert np.array_equal(getattr(back, key), getattr(toy_dataset, key))
+        assert getattr(back, key).dtype == getattr(toy_dataset, key).dtype
     assert (back.mp_adjacency != toy_dataset.mp_adjacency).nnz == 0
     assert np.array_equal(back.features, toy_dataset.features)
+
+
+def write_dataset_npz(path, **override):
+    """A hand-written dataset.npz: 4 nodes, one train positive and negative."""
+    doc = {"num_nodes": np.int64(4), "mp_edges": np.array([[0, 1]], dtype=np.int64),
+           "pair_u": np.array([0, 2], dtype=np.int64),
+           "pair_v": np.array([1, 3], dtype=np.int64),
+           "labels": np.array([1, 0], dtype=np.int64),
+           "splits": np.array([0, 0], dtype=np.int8), "features": np.zeros((4, 2))}
+    doc.update(override)
+    np.savez(path, **doc)
+    return path
+
+
+class TestLoadDatasetValidation:
+    def test_hand_written_file_loads(self, tmp_path):
+        ds = load_dataset(write_dataset_npz(tmp_path / "ds.npz"))
+        pairs, labels = ds.split_arrays("train")
+        assert pairs.tolist() == [[0, 1], [2, 3]] and labels.tolist() == [1, 0]
+        assert ds.split_arrays("test")[0].shape == (0, 2)
+
+    @pytest.mark.parametrize("override, message", [
+        ({"pair_v": np.array([1])}, "differ in length"),
+        ({"labels": np.array([1, 0, 1])}, "differ in length"),
+        ({"splits": np.array([0], dtype=np.int8)}, "differ in length"),
+        ({"splits": np.array([0, 3], dtype=np.int8)}, "split codes"),
+        ({"splits": np.array([0, -1], dtype=np.int8)}, "split codes"),
+        # 256 would wrap to the train code 0 if it were cast before the check
+        ({"splits": np.array([0, 256], dtype=np.int64)}, "split codes"),
+        ({"labels": np.array([1, 2])}, "labels"),
+        ({"labels": np.array([1, -1])}, "labels"),
+    ])
+    def test_bad_arrays_rejected(self, tmp_path, override, message):
+        with pytest.raises(ValueError, match=message):
+            load_dataset(write_dataset_npz(tmp_path / "bad.npz", **override))

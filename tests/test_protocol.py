@@ -14,6 +14,12 @@ CLEAN_COHORT = [0.28, 0.35, 0.41, 0.46, 0.33]
 WM_COHORT = [0.90, 0.93, 0.95, 0.92, 0.94]
 
 
+def test_wm_params_from_config():
+    assert WmParams.from_json_dict({}) == WmParams()
+    doc = {"pathway": "subgraph", "rate": 0.2, "hops": 2, "ratios": [0.6, 0.2, 0.2]}
+    assert WmParams.from_json_dict(doc) == WmParams("subgraph", 0.2, 2, (0.6, 0.2, 0.2))
+
+
 @pytest.fixture()
 def board(tmp_path):
     return tmp_path / "board.jsonl"

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -217,3 +219,72 @@ class TestSerialization:
         back = deserialize_wm(serialize_wm(wm))
         assert back == wm
         assert serialize_wm(back) == serialize_wm(wm)
+
+
+@functools.lru_cache(maxsize=None)
+def small_blobs() -> dict:
+    """Valid `.gwm` blobs of both kinds, small enough to cut at every offset."""
+    g = lm.init_features(lm.generate_sbm(2, 8, 0.45, 0.15, seed=3), 3, seed=4)
+    ds = lm.split_links(g, (0.8, 0.1, 0.1), seed=6)
+    sgs = lm.build_subgraph_dataset(ds, 1, "train")
+    return {"node_rep": serialize_wm(lm.gen_node_rep_wm(g, 0.3, seed=5)),
+            "subgraph": serialize_wm(gen_subgraph_wm(sgs, 0.3, watermark_vector(3, 7), seed=8))}
+
+
+def one_subgraph_blob(length_delta: int) -> bytes:
+    """A one-subgraph blob whose record declares `length_delta` more bytes
+    than its fields take, padded (or cut) to match the declared length."""
+    sg = lm.Subgraph((5, 9), ((0, 1),), np.zeros((2, 3)), (0, 1), 1)
+    blob = serialize_wm(lm.SubgraphWatermark([sg], [1], np.zeros(3), 0.5))
+    at = 4 + 1 + 4 + 8 + 3 * 8 + 4  # magic, kind, d, rate, vector, count
+    (length,) = struct.unpack_from("<I", blob, at)
+    record = blob[at + 4:] + b"\0" * max(length_delta, 0)
+    return blob[:at] + struct.pack("<I", length + length_delta) + record[:length + length_delta]
+
+
+def node_rep_header(num_nodes: int, d: int) -> bytes:
+    return b"GWM1" + struct.pack("<BIId", 0, num_nodes, d, 0.1)
+
+
+MALFORMED = {
+    # 2^31 nine-byte pair records would need 18 GiB
+    "node_rep_2e31_pairs": node_rep_header(4, 1) + struct.pack("<II", 0, 2**31),
+    "subgraph_d_2e31": b"GWM1" + struct.pack("<BId", 1, 2**31, 0.1),
+    "features_past_end": node_rep_header(2**20, 4) + struct.pack("<III", 0, 0, 0) + bytes(32),
+    "truncated_header": node_rep_header(4, 1)[:9],
+    "overlong_subgraph_record": one_subgraph_blob(+1),
+    "short_subgraph_record": one_subgraph_blob(-1),
+}
+
+
+class TestMalformedBlobs:
+    def test_one_subgraph_blob_is_valid(self):
+        assert len(deserialize_wm(one_subgraph_blob(0)).subgraphs) == 1
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_rejected_with_value_error(self, name):
+        with pytest.raises(ValueError):
+            deserialize_wm(MALFORMED[name])
+
+    @given(st.sampled_from(["node_rep", "subgraph"]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_cut_rejected(self, kind, data):
+        blob = small_blobs()[kind]
+        assert serialize_wm(deserialize_wm(blob)) == blob
+        cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
+        with pytest.raises(ValueError):
+            deserialize_wm(blob[:cut])
+
+    @pytest.mark.parametrize("column, value", [("pair", -1), ("pair", 2**32),
+                                               ("label", 256)])
+    def test_writer_refuses_to_wrap(self, toy_watermark, column, value):
+        wm = toy_watermark
+        pairs, labels = wm.pairs.copy(), wm.labels.copy()
+        if column == "pair":
+            pairs[0, 0] = value
+        else:
+            labels[0] = value
+        bad = lm.NodeRepWatermark(wm.num_nodes, wm.nodes, pairs, labels, wm.edges,
+                                  wm.features, wm.vector, wm.rate)
+        with pytest.raises(ValueError, match="outside"):
+            serialize_wm(bad)
