@@ -4,13 +4,13 @@ Every command takes ``--out <dir>``, writes its artifacts there together with
 a ``<command>_manifest.json`` recording the seed and config hash, and exits
 nonzero with a machine-readable JSON error on stderr when anything fails.
 All randomness flows from a single ``--seed`` through named streams, so each
-stage is individually reproducible. ``--jobs`` (or the ``GENIE_LPWM_JOBS``
-environment variable) bounds the worker pool used by fan-out commands.
+stage is individually reproducible. The two fan-out commands, ``threshold``
+and ``reproduce-table1``, take ``--jobs`` (default 1) to bound their worker
+pool.
 """
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -24,7 +24,7 @@ from .graph import (SPLITS, build_subgraph_dataset, generate_sbm, init_features,
                     save_edge_list, split_links)
 from .nn import LinkPredictor, PairBatch, SubgraphBatch, TrainConfig, evaluate_auc
 from .protocol import ServeSession, WmParams, dispute, generate_watermark, register
-from .stats import dwt_threshold, shapiro_wilk, smoothed_bootstrap_test
+from .stats import dwt_threshold, finite_samples, shapiro_wilk, smoothed_bootstrap_test
 from .util import derive_seed, sha256_file, sha256_hex
 from .watermark import load_wm, save_wm, watermark_auc
 
@@ -36,13 +36,6 @@ EXIT_USAGE = 2
 def _fail(code: str, message: str) -> int:
     sys.stderr.write(json.dumps({"error": code, "message": message}) + "\n")
     return EXIT_ERROR
-
-
-def _resolve_jobs(args) -> int:
-    if getattr(args, "jobs", None):
-        return max(1, args.jobs)
-    env = os.environ.get("GENIE_LPWM_JOBS")
-    return max(1, int(env)) if env else 1
 
 
 def _pool_map(fn, items, jobs: int) -> list:
@@ -120,7 +113,7 @@ def write_samples_csv(values, path) -> None:
 
 def read_samples_csv(path) -> np.ndarray:
     with open(path) as fh:
-        return np.array([float(line) for line in fh if line.strip()])
+        return finite_samples([float(line) for line in fh if line.strip()])
 
 
 def cmd_datagen(args) -> int:
@@ -246,7 +239,7 @@ def _cohort_aucs(args, cfg_doc: dict, seed: int, count: int):
               "seed": derive_seed(seed, f"{kind}{i}"), "kind": kind,
               "params": WmParams.from_json_dict(cfg_doc)}
              for kind in ("clean", "wm") for i in range(count)]
-    results = _pool_map(_threshold_task, tasks, _resolve_jobs(args))
+    results = _pool_map(_threshold_task, tasks, args.jobs)
     results.sort(key=lambda r: (r["kind"], r["seed"]))
     return tuple([r["auc_wm"] for r in results if r["kind"] == kind]
                  for kind in ("clean", "wm"))
@@ -421,13 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "thresholds, and stress-test the watermark.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def common(p, out=True, jobs=False):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         if out:
             p.add_argument("--out", default=".", help="artifact directory")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker pool size (env GENIE_LPWM_JOBS)")
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1, help="worker pool size")
 
     p = sub.add_parser("datagen", help="generate an SBM graph or import an edge list")
     common(p)
@@ -465,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("threshold", help="train clean/watermarked cohorts and set the threshold")
-    common(p)
+    common(p, jobs=True)
     p.add_argument("--dataset")
     p.add_argument("--edges")
     p.add_argument("--features")
@@ -528,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce-table1",
                        help="train clean/watermarked cohorts and print the "
                             "normality and bootstrap statistics")
-    common(p)
+    common(p, jobs=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--edges", required=True)
     p.add_argument("--features")

@@ -27,43 +27,53 @@ class NoNegativesAvailable(ValueError):
     """Graph too dense to sample the requested number of non-edges."""
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected graph: node count, canonical edge tuple, node features.
+def _edge_rows(edges, num_nodes: int, what: str) -> np.ndarray:
+    """`edges` as a read-only E x 2 int64 array of sorted, distinct u < v < num_nodes rows."""
+    edges = np.asarray(edges, dtype=np.int64)
+    if edges.size == 0:
+        edges = edges.reshape(0, 2)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError(f"{what}s must form an E x 2 array, got shape {edges.shape}")
+    u, v = edges.T
+    bad = (u < 0) | (u >= v) | (v >= num_nodes)
+    if bad.any():
+        i = int(np.argmax(bad))
+        problem = "is a self-loop" if u[i] == v[i] else f"is out of range for {num_nodes} nodes"
+        raise ValueError(f"{what} ({u[i]},{v[i]}) {problem}")
+    du, dv = np.diff(u), np.diff(v)
+    if ((du < 0) | (du == 0) & (dv <= 0)).any():
+        raise ValueError(f"{'duplicate' if ((du == 0) & (dv == 0)).any() else 'unsorted'} {what}s")
+    edges.setflags(write=False)
+    return edges
 
-    Edges are stored sorted with u < v, deduplicated, and validated against
-    self-loops and out-of-range endpoints. Instances are immutable.
-    """
+
+@dataclass(frozen=True, eq=False)
+class Graph:
+    """Undirected graph: node count, edges as a read-only E x 2 int64 array
+    of sorted, distinct rows (u, v) with u < v, and one feature row per node.
+    Construction checks all of this (ValueError). Instances are immutable."""
 
     num_nodes: int
-    edges: tuple
+    edges: np.ndarray
     features: np.ndarray
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop ({u},{v})")
-            if not (0 <= u < v < self.num_nodes):
-                raise ValueError(f"edge ({u},{v}) out of range for {self.num_nodes} nodes")
-        if len(set(self.edges)) != len(self.edges):
-            raise ValueError("duplicate edges")
+        object.__setattr__(self, "edges", _edge_rows(self.edges, self.num_nodes, "edge"))
         if self.features.shape[0] != self.num_nodes:
             raise ValueError("feature rows must equal num_nodes")
         self.features.setflags(write=False)
 
     @classmethod
     def from_edges(cls, num_nodes: int, edges, features: np.ndarray | None = None) -> "Graph":
-        canon = sorted({(min(u, v), max(u, v)) for u, v in edges})
+        """Graph from (u, v) pairs in any orientation and order; repeats merge."""
+        edges = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
         if features is None:
             features = np.zeros((num_nodes, 0))
-        return cls(num_nodes, tuple(canon), np.asarray(features, dtype=float))
+        return cls(num_nodes, np.unique(edges, axis=0), np.asarray(features, dtype=float))
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def edge_set(self) -> frozenset:
-        return frozenset(self.edges)
 
     def adjacency(self) -> sp.csr_matrix:
         return edges_to_adjacency(self.num_nodes, self.edges)
@@ -72,12 +82,9 @@ class Graph:
         return Graph(self.num_nodes, self.edges, np.asarray(features, dtype=float))
 
 
-def edges_to_adjacency(num_nodes: int, edges) -> sp.csr_matrix:
-    """Symmetric 0/1 CSR adjacency from (u, v) pairs: a sequence or N x 2 array."""
-    if len(edges) == 0:
-        return sp.csr_matrix((num_nodes, num_nodes))
-    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    rows, cols = np.concatenate([arr, arr[:, ::-1]]).T
+def edges_to_adjacency(num_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
+    """Symmetric 0/1 CSR adjacency from an E x 2 array of (u, v) rows."""
+    rows, cols = np.concatenate([edges, edges[:, ::-1]]).T
     return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(num_nodes, num_nodes))
 
 
@@ -120,25 +127,27 @@ class LinkDataset:
         return self.pairs[mask], self.labels[mask]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subgraph:
-    """k-hop neighborhood of a candidate link, reindexed to local ids."""
+    """k-hop neighborhood of a candidate link, reindexed to local ids: sorted
+    int64 `node_ids`, and `local_edges` canonical over their positions."""
 
-    node_ids: tuple
-    local_edges: tuple
+    node_ids: np.ndarray
+    local_edges: np.ndarray
     local_features: np.ndarray
     anchor: tuple
     label: int
 
     def __post_init__(self):
-        n = len(self.node_ids)
-        if len(set(self.node_ids)) != n:
-            raise ValueError("duplicate node ids")
+        node_ids = np.asarray(self.node_ids, dtype=np.int64)
+        if (np.diff(node_ids) <= 0).any():
+            raise ValueError("node ids must be sorted and distinct")
+        node_ids.setflags(write=False)
+        object.__setattr__(self, "node_ids", node_ids)
+        n = len(node_ids)
         if not all(0 <= a < n for a in self.anchor):
             raise ValueError("anchor outside subgraph")
-        for u, v in self.local_edges:
-            if not (0 <= u < v < n):
-                raise ValueError(f"local edge ({u},{v}) invalid")
+        object.__setattr__(self, "local_edges", _edge_rows(self.local_edges, n, "local edge"))
 
     @property
     def num_nodes(self) -> int:
@@ -189,8 +198,7 @@ def load_edge_list(path) -> Graph:
 def save_edge_list(g: Graph, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"N {g.num_nodes}\n")
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")
+        np.savetxt(fh, g.edges, fmt="%d")
 
 
 def load_features(path, num_nodes: int) -> np.ndarray:
@@ -232,8 +240,8 @@ def generate_sbm(blocks: int, per_block: int, p_in: float, p_out: float, seed: i
     iu, ju = np.triu_indices(n, k=1)
     p = np.where(block_of[iu] == block_of[ju], p_in, p_out)
     keep = rng.random(len(iu)) < p
-    edges = list(zip(iu[keep].tolist(), ju[keep].tolist()))
-    return Graph.from_edges(n, edges)
+    # triu_indices enumerates u < v in row-major order: already canonical
+    return Graph(n, np.stack([iu[keep], ju[keep]], axis=1), np.zeros((n, 0)))
 
 
 def init_features(g: Graph, dim: int, seed: int) -> Graph:
@@ -273,20 +281,22 @@ def _sample_non_edges(g: Graph, count: int, rng: np.random.Generator) -> np.ndar
         iu, ju = np.triu_indices(n, k=1)
         mask = np.ones(total_pairs, dtype=bool)
         # index of pair (u,v), u<v, in row-major upper-triangle order
-        u, v = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2).T
+        u, v = g.edges.T
         mask[u * n - u * (u + 1) // 2 + (v - u - 1)] = False
         pool = np.flatnonzero(mask)
         pick = rng.choice(pool, size=count, replace=False)
         return np.stack([iu[pick], ju[pick]], axis=1).astype(np.int64)
-    edge_set = g.edge_set()
-    chosen: dict = {}  # an insertion-ordered set
+    # pairs as keys u * n + v (u < v); `chosen` is an insertion-ordered set
+    edge_keys = set((g.edges[:, 0] * n + g.edges[:, 1]).tolist())
+    chosen: dict = {}
     while len(chosen) < count:
         u = int(rng.integers(0, n))
         v = int(rng.integers(0, n))
-        pair = (min(u, v), max(u, v))
-        if u != v and pair not in edge_set:
-            chosen[pair] = None
-    return np.asarray(list(chosen), dtype=np.int64)
+        key = min(u, v) * n + max(u, v)
+        if u != v and key not in edge_keys:
+            chosen[key] = None
+    keys = np.fromiter(chosen, dtype=np.int64, count=count)
+    return np.stack([keys // n, keys % n], axis=1)
 
 
 def split_links(g: Graph, ratios, seed: int) -> LinkDataset:
@@ -295,7 +305,7 @@ def split_links(g: Graph, ratios, seed: int) -> LinkDataset:
     message-passing adjacency keeps only train positives."""
     n_train, n_valid, n_test = _split_counts(g.num_edges, ratios)
     rng = np.random.default_rng(seed)
-    positives = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)[rng.permutation(g.num_edges)]
+    positives = g.edges[rng.permutation(g.num_edges)]
     negatives = _sample_non_edges(g, g.num_edges, rng)
     bounds = np.cumsum([0, n_train, n_valid, n_test])
     # per split: its positives, then as many negatives
@@ -318,30 +328,21 @@ def extract_khop(ds: LinkDataset, pair, k: int, label: int = 0) -> Subgraph:
     if not (0 <= u < n and 0 <= v < n) or u == v:
         raise ValueError(f"invalid pair ({u},{v})")
     adj = ds.mp_adjacency
-    frontier = {u, v}
-    reached = {u, v}
+    reached = np.zeros(n, dtype=bool)
+    reached[[u, v]] = True
     for _ in range(k):
-        nxt = set()
-        for node in frontier:
-            nxt.update(adj.indices[adj.indptr[node]:adj.indptr[node + 1]].tolist())
-        frontier = nxt - reached
-        reached |= nxt
-        if not frontier:
-            break
-    node_ids = tuple(sorted(reached))
-    local = {node: i for i, node in enumerate(node_ids)}
-    local_edges = []
-    for node in node_ids:
-        for nb in adj.indices[adj.indptr[node]:adj.indptr[node + 1]]:
-            nb = int(nb)
-            if nb in local and node < nb:
-                if {node, nb} == {u, v}:
-                    continue
-                local_edges.append((local[node], local[nb]))
-    local_edges = tuple(sorted(local_edges))
-    feats = ds.features[list(node_ids)] if ds.features.shape[1] else np.zeros((len(node_ids), 0))
-    return Subgraph(node_ids, local_edges, np.asarray(feats, dtype=float),
-                    (local[u], local[v]), int(label))
+        reached |= adj @ reached > 0
+    node_ids = np.flatnonzero(reached)
+    # all members' CSR rows in one gather, as (src, dst) entry pairs
+    starts, counts = adj.indptr[node_ids], np.diff(adj.indptr)[node_ids]
+    src = np.repeat(node_ids, counts)
+    dst = adj.indices[np.repeat(starts - np.cumsum(counts) + counts, counts)
+                      + np.arange(counts.sum())]
+    keep = (src < dst) & reached[dst] & ((src != min(u, v)) | (dst != max(u, v)))
+    local = np.searchsorted(node_ids, np.stack([src[keep], dst[keep]], axis=1))
+    return Subgraph(node_ids, local[np.argsort(local[:, 0] * len(node_ids) + local[:, 1])],
+                    np.asarray(ds.features[node_ids], dtype=float),
+                    tuple(int(i) for i in np.searchsorted(node_ids, (u, v))), int(label))
 
 
 def build_subgraph_dataset(ds: LinkDataset, k: int, split: str) -> list:
@@ -369,6 +370,7 @@ def load_dataset(path) -> LinkDataset:
         pair_u, pair_v = doc["pair_u"], doc["pair_v"]
         if pair_u.shape != pair_v.shape:
             raise ValueError("pair_u and pair_v differ in length")
-        return LinkDataset(edges_to_adjacency(int(doc["num_nodes"]), doc["mp_edges"]),
+        mp_edges = _edge_rows(doc["mp_edges"], int(doc["num_nodes"]), "mp_edges row")
+        return LinkDataset(edges_to_adjacency(int(doc["num_nodes"]), mp_edges),
                            np.stack([pair_u, pair_v], axis=-1), doc["labels"],
                            doc["splits"], doc["features"])

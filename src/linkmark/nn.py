@@ -16,6 +16,7 @@ of every parameter tensor in `param_names()` order. Shapes are implied by
 (arch, dims), so files round-trip bit exactly.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import Subgraph
+from .util import Cursor
 
 GCN = "gcn"
 SAGE = "sage"
@@ -151,23 +153,20 @@ class LinkPredictor:
 
     @classmethod
     def load(cls, path) -> "LinkPredictor":
+        """Inverse of save. A short header, an unknown arch code, or tensor bytes
+        that differ from the declared dims raise ValueError before allocating."""
         with open(path, "rb") as fh:
-            magic = fh.read(len(CHECKPOINT_MAGIC))
-            if magic != CHECKPOINT_MAGIC:
-                raise ValueError("not a checkpoint file")
-            code, in_dim, hidden = struct.unpack("<BII", fh.read(9))
-            arch = _CODE_ARCH[code]
-            shapes = _param_shapes(arch, in_dim, hidden)
-            params = {}
-            for name in param_names(arch):
-                shape = shapes[name]
-                count = int(np.prod(shape))
-                buf = fh.read(count * 8)
-                if len(buf) != count * 8:
-                    raise ValueError("truncated checkpoint")
-                params[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-            if fh.read(1):
-                raise ValueError("trailing bytes in checkpoint")
+            cur = Cursor(fh.read(), "checkpoint")
+        if cur.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise ValueError("not a checkpoint file")
+        code, in_dim, hidden = cur.unpack("<BII")
+        if code not in _CODE_ARCH:
+            raise ValueError(f"unknown arch code {code} in checkpoint")
+        arch = _CODE_ARCH[code]
+        shapes = _param_shapes(arch, in_dim, hidden)
+        params = {name: cur.array("<f8", math.prod(shapes[name])).reshape(shapes[name])
+                  for name in param_names(arch)}
+        cur.finish()
         return cls(arch, in_dim, hidden, params)
 
 

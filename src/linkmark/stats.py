@@ -10,7 +10,7 @@ the failure probability because (1-p)^(mn) <= e^-m whenever p >= 1/n.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -48,10 +48,18 @@ def auc(scores, labels) -> float:
     return u / (n_pos * n_neg)
 
 
+def finite_samples(sample) -> np.ndarray:
+    """`sample` as a float array; a NaN or infinite entry raises ValueError."""
+    x = np.asarray(sample, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("samples must be finite")
+    return x
+
+
 def shapiro_wilk(sample):
     """W statistic and upper-tail p-value via the AS R94 polynomial
     approximation (valid for 3 <= n <= 5000)."""
-    x = np.sort(np.asarray(sample, dtype=float))
+    x = np.sort(finite_samples(sample))
     n = len(x)
     if n < 3 or n > 5000:
         raise ValueError(f"sample size {n} outside [3, 5000]")
@@ -112,13 +120,15 @@ def silverman_bandwidth(sample) -> float:
     return max(0.9 * min(spreads) * len(x) ** (-0.2), 1e-6)
 
 
-def kde_sample(sample, bandwidth: float, count: int, seed: int) -> np.ndarray:
+def kde_sample(sample, bandwidth: float, count, seed) -> np.ndarray:
     """Draws from the Gaussian KDE: a uniformly chosen datum plus
-    N(0, bandwidth^2) noise."""
+    N(0, bandwidth^2) noise. `count` may be a shape; `seed` may be a
+    Generator, which then advances (indices first, then noise)."""
     x = np.asarray(sample, dtype=float)
     rng = np.random.default_rng(seed)
-    picks = rng.integers(0, len(x), size=count)
-    return x[picks] + rng.normal(0.0, bandwidth, size=count)
+    draws = x[rng.integers(0, len(x), size=count)]
+    draws += rng.normal(0.0, bandwidth, size=count)
+    return draws
 
 
 def smoothed_bootstrap_test(clean, watermarked, replicates: int = 100_000,
@@ -129,8 +139,8 @@ def smoothed_bootstrap_test(clean, watermarked, replicates: int = 100_000,
     each replicate resamples both groups with replacement and smooths with
     that group's Silverman bandwidth.
     """
-    a = np.asarray(watermarked, dtype=float)
-    b = np.asarray(clean, dtype=float)
+    a = finite_samples(watermarked)
+    b = finite_samples(clean)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("both samples must be nonempty")
     observed = float(a.mean() - b.mean())
@@ -140,10 +150,8 @@ def smoothed_bootstrap_test(clean, watermarked, replicates: int = 100_000,
     h_a = silverman_bandwidth(a) if len(a) > 1 else 0.0
     h_b = silverman_bandwidth(b) if len(b) > 1 else 0.0
     rng = np.random.default_rng(seed)
-    draws_a = a_null[rng.integers(0, len(a), size=(replicates, len(a)))]
-    draws_a += rng.normal(0.0, h_a, size=draws_a.shape)
-    draws_b = b_null[rng.integers(0, len(b), size=(replicates, len(b)))]
-    draws_b += rng.normal(0.0, h_b, size=draws_b.shape)
+    draws_a = kde_sample(a_null, h_a, (replicates, len(a)), rng)
+    draws_b = kde_sample(b_null, h_b, (replicates, len(b)), rng)
     diffs = draws_a.mean(axis=1) - draws_b.mean(axis=1)
     return (1.0 + int(np.sum(diffs >= observed))) / (replicates + 1.0)
 
@@ -179,13 +187,12 @@ class ThresholdReport:
     certificate: bool
     h_clean: float
     h_wm: float
-    extras: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {"threshold": self.threshold, "n": self.n, "m": self.m,
                 "gamma": self.gamma, "observed_fpr": self.observed_fpr,
                 "observed_fnr": self.observed_fnr, "certificate": self.certificate,
-                "h_clean": self.h_clean, "h_wm": self.h_wm, **self.extras}
+                "h_clean": self.h_clean, "h_wm": self.h_wm}
 
 
 def dwt_threshold(clean, watermarked, n: int, gamma: float, seed: int = 0) -> ThresholdReport:
@@ -199,8 +206,8 @@ def dwt_threshold(clean, watermarked, n: int, gamma: float, seed: int = 0) -> Th
     FPR + FNR over the pooled draws (ties resolved toward the lower
     threshold, favoring the defendant) and no certificate is issued.
     """
-    clean = np.asarray(clean, dtype=float)
-    wm = np.asarray(watermarked, dtype=float)
+    clean = finite_samples(clean)
+    wm = finite_samples(watermarked)
     if len(clean) < 4 or len(wm) < 4:
         raise ValueError("at least 4 samples per side are required")
     for side in (clean, wm):
@@ -214,10 +221,8 @@ def dwt_threshold(clean, watermarked, n: int, gamma: float, seed: int = 0) -> Th
     h_clean = silverman_bandwidth(clean)
     h_wm = silverman_bandwidth(wm)
     rng = np.random.default_rng(seed)
-    clean_blocks = [clean[rng.integers(0, len(clean), size=n)]
-                    + rng.normal(0.0, h_clean, size=n) for _ in range(m)]
-    wm_blocks = [wm[rng.integers(0, len(wm), size=n)]
-                 + rng.normal(0.0, h_wm, size=n) for _ in range(m)]
+    clean_blocks = [kde_sample(clean, h_clean, n, rng) for _ in range(m)]
+    wm_blocks = [kde_sample(wm, h_wm, n, rng) for _ in range(m)]
     highest_clean = max(b.max() for b in clean_blocks)
     lowest_wm = min(b.min() for b in wm_blocks)
     if highest_clean < lowest_wm:

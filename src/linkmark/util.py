@@ -1,6 +1,10 @@
-"""Shared helpers: named-stream seed derivation and file hashing."""
+"""Shared helpers: named-stream seed derivation, file hashing and a bounded
+binary reader."""
 
 import hashlib
+import struct
+
+import numpy as np
 
 
 def derive_seed(master: int, stream: str) -> int:
@@ -20,3 +24,35 @@ def sha256_hex(data: bytes) -> str:
 def sha256_file(path) -> str:
     with open(path, "rb") as fh:
         return sha256_hex(fh.read())
+
+
+class Cursor:
+    """Bounded reader over a blob: each read checks its size against the
+    bytes that remain before anything is allocated, and a short or overlong
+    `what` raises ValueError."""
+
+    def __init__(self, data, what: str):
+        self.data = memoryview(data)
+        self.pos = 0
+        self.what = what
+
+    def take(self, size: int) -> memoryview:
+        if size > len(self.data) - self.pos:
+            raise ValueError(f"truncated {self.what}: {size} bytes wanted at offset "
+                             f"{self.pos}, {len(self.data) - self.pos} left")
+        self.pos += size
+        return self.data[self.pos - size:self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dtype, count: int) -> np.ndarray:
+        return np.frombuffer(self.take(count * np.dtype(dtype).itemsize), dtype).copy()
+
+    def counted(self, dtype) -> np.ndarray:
+        (count,) = self.unpack("<I")
+        return self.array(dtype, count)
+
+    def finish(self) -> None:
+        if self.pos != len(self.data):
+            raise ValueError(f"{len(self.data) - self.pos} trailing bytes in {self.what}")

@@ -18,13 +18,13 @@ always produce identical bytes.
 import itertools
 import math
 import struct
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, Subgraph, edges_to_adjacency
+from .graph import Graph, Subgraph, _edge_rows, edges_to_adjacency
 from .nn import PairBatch, SubgraphBatch, evaluate_auc
+from .util import Cursor
 
 _MAGIC = b"GWM1"
 _KIND_NODE_REP = 0
@@ -57,18 +57,13 @@ class NodeRepWatermark:
         self.pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         self.labels = np.asarray(labels, dtype=np.int64)
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        self.edge_array = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        self.edges = _edge_rows(edges[np.lexsort(edges.T[::-1])], self.num_nodes, "edge")
         self.features = np.asarray(features, dtype=float)
         self.vector = np.asarray(vector, dtype=float)
         self.rate = float(rate)
 
-    @cached_property
-    def edges(self) -> tuple:
-        """The flipped graph's edges as sorted (u, v) tuples."""
-        return tuple(map(tuple, self.edge_array.tolist()))
-
     def adjacency(self) -> sp.csr_matrix:
-        return edges_to_adjacency(self.num_nodes, self.edge_array)
+        return edges_to_adjacency(self.num_nodes, self.edges)
 
     def internal_pair_set(self) -> frozenset:
         """Every unordered pair inside the sampled subset: the flip set."""
@@ -123,12 +118,11 @@ def build_node_rep_wm(g: Graph, nodes: np.ndarray, vector: np.ndarray,
     """Deterministic core: flip all internal pairs of `nodes` and substitute
     their feature rows with `vector`."""
     nodes = np.sort(np.asarray(nodes, dtype=np.int64))
-    edges = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
     iu, ju = np.triu_indices(len(nodes), k=1)
     pairs = np.stack([nodes[iu], nodes[ju]], axis=1)
     key = lambda p: p[:, 0] * g.num_nodes + p[:, 1]
-    labels = (~np.isin(key(pairs), key(edges))).astype(np.int64)
-    outside = edges[~np.isin(edges, nodes).all(axis=1)]
+    labels = (~np.isin(key(pairs), key(g.edges))).astype(np.int64)
+    outside = g.edges[~np.isin(g.edges, nodes).all(axis=1)]
     features = g.features.copy()
     features[nodes] = vector
     return NodeRepWatermark(g.num_nodes, nodes, pairs, labels,
@@ -182,12 +176,12 @@ def serialize_wm(wm) -> bytes:
                         wm.features.shape[1], wm.rate),
             _counted(_ID, "node", np.sort(wm.nodes)),
             _counted(_PAIR, "pair", np.column_stack([wm.pairs, wm.labels])[order]),
-            _counted(_EDGE, "edge", wm.edge_array),
+            _counted(_EDGE, "edge", wm.edges),
             np.asarray(wm.vector, dtype="<f8").tobytes(),
             np.ascontiguousarray(wm.features, dtype="<f8").tobytes()])
     if isinstance(wm, SubgraphWatermark):
         records = sorted(b"".join([_counted(_ID, "node", sg.node_ids),
-                                   _counted(_EDGE, "edge", sorted(sg.local_edges)),
+                                   _counted(_EDGE, "edge", sg.local_edges),
                                    _records(_PAIR, "anchor", [(*sg.anchor, label)])])
                          for sg, label in zip(wm.subgraphs, wm.labels.tolist()))
         return b"".join([struct.pack("<4sBId", _MAGIC, _KIND_SUBGRAPH, len(wm.vector), wm.rate),
@@ -197,39 +191,9 @@ def serialize_wm(wm) -> bytes:
     raise TypeError(f"cannot serialize {type(wm)!r}")
 
 
-class _Cursor:
-    """Bounded reader over a blob: each read checks its size against the
-    bytes that remain before anything is allocated."""
-
-    def __init__(self, data):
-        self.data = memoryview(data)
-        self.pos = 0
-
-    def take(self, size: int) -> memoryview:
-        if size > len(self.data) - self.pos:
-            raise ValueError(f"truncated watermark blob: {size} bytes wanted at offset "
-                             f"{self.pos}, {len(self.data) - self.pos} left")
-        self.pos += size
-        return self.data[self.pos - size:self.pos]
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def array(self, dtype, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(count * np.dtype(dtype).itemsize), dtype).copy()
-
-    def counted(self, dtype) -> np.ndarray:
-        (count,) = self.unpack("<I")
-        return self.array(dtype, count)
-
-    def finish(self, what: str) -> None:
-        if self.pos != len(self.data):
-            raise ValueError(f"{len(self.data) - self.pos} trailing bytes in {what}")
-
-
 def deserialize_wm(data: bytes):
     """Inverse of serialize_wm; any malformed blob raises ValueError."""
-    cur = _Cursor(data)
+    cur = Cursor(data, "watermark blob")
     magic, kind = cur.unpack("<4sB")
     if magic != _MAGIC:
         raise ValueError("not a watermark blob")
@@ -238,7 +202,7 @@ def deserialize_wm(data: bytes):
         nodes, pairs, edges = [cur.counted(dtype) for dtype in (_ID, _PAIR, _EDGE)]
         vector = cur.array("<f8", d)
         features = cur.array("<f8", num_nodes * d).reshape(num_nodes, d)
-        cur.finish("watermark blob")
+        cur.finish()
         return NodeRepWatermark(num_nodes, nodes["id"], np.stack([pairs["u"], pairs["v"]], axis=1),
                                 pairs["label"], np.stack([edges["u"], edges["v"]], axis=1),
                                 features, vector, rate)
@@ -248,15 +212,15 @@ def deserialize_wm(data: bytes):
         (count,) = cur.unpack("<I")
         subgraphs = []
         for _ in range(count):
-            rec = _Cursor(cur.take(cur.unpack("<I")[0]))
-            node_ids = tuple(rec.counted(_ID)["id"].tolist())
-            edges = tuple(rec.counted(_EDGE).tolist())
+            rec = Cursor(cur.take(cur.unpack("<I")[0]), "subgraph record")
+            node_ids = rec.counted(_ID)["id"]
+            edges = rec.counted(_EDGE)
             ((a0, a1, label),) = rec.array(_PAIR, 1).tolist()
-            rec.finish("subgraph record")
+            rec.finish()
             # every feature row is the secret vector: a read-only view, not n copies
-            subgraphs.append(Subgraph(node_ids, edges, np.broadcast_to(vector, (len(node_ids), d)),
-                                      (a0, a1), label))
-        cur.finish("watermark blob")
+            subgraphs.append(Subgraph(node_ids, np.stack([edges["u"], edges["v"]], axis=1),
+                                      np.broadcast_to(vector, (len(node_ids), d)), (a0, a1), label))
+        cur.finish()
         return SubgraphWatermark(subgraphs, [sg.label for sg in subgraphs], vector, rate)
     raise ValueError(f"unknown watermark kind {kind}")
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,20 @@ def clean_model(toy_batches, toy_config):
     model = lm.LinkPredictor.init("gcn", 16, 32, seed=5)
     lm.train_clean(model, toy_batches["train"], toy_config)
     return model
+
+
+# checkpoints that LinkPredictor.load must refuse with ValueError
+BAD_CHECKPOINTS = {
+    "truncated_header": b"GLPW1\x00\x01",
+    "unknown_arch_code": b"GLPW1" + struct.pack("<BII", 7, 2, 2) + bytes(64),
+    # 78 bytes that declare 65536 x 65536 encoder weights: 32 GiB
+    "dims_past_end": b"GLPW1" + struct.pack("<BII", 0, 65536, 65536) + bytes(64),
+}
+
+
+def edge_set(edges) -> set:
+    """The rows of an E x 2 edge array as a set of (u, v) int tuples."""
+    return {(int(u), int(v)) for u, v in np.asarray(edges).reshape(-1, 2)}
 
 
 def random_params(model, rng, scale=0.5):

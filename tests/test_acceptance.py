@@ -24,7 +24,7 @@ from linkmark.protocol import ServeSession, WmParams, dispute, register
 from linkmark.stats import blocks_required, shapiro_wilk, smoothed_bootstrap_test
 from linkmark.watermark import build_node_rep_wm
 
-from conftest import (ACCEPTANCE_LINES, finite_difference_grads, max_rel_err,
+from conftest import (ACCEPTANCE_LINES, edge_set, finite_difference_grads, max_rel_err,
                       random_params)
 
 # trigger-set AUC rows (percent) for ten clean and ten watermarked models
@@ -234,12 +234,12 @@ def test_criterion_6_oracle_equivalences():
         wm = build_node_rep_wm(g, nodes, lm.watermark_vector(3, trial), 0.5)
         node_set = set(nodes.tolist())
         internal = set(itertools.combinations(sorted(node_set), 2))
-        edges = g.edge_set()
+        edges = edge_set(g.edges)
         expect_edges = {e for e in edges if not set(e) <= node_set}
         expect_edges |= {p for p in internal if p not in edges}
         expect_labels = {p: (0 if p in edges else 1) for p in internal}
         got_labels = {tuple(p): int(y) for p, y in zip(wm.pairs, wm.labels)}
-        if set(wm.edges) != expect_edges or got_labels != expect_labels:
+        if edge_set(wm.edges) != expect_edges or got_labels != expect_labels:
             wm_mismatches += 1
     elapsed = time.monotonic() - start
     ok = (worst_auc_gap <= 1e-12 and worst_grad < 1e-4 and wm_mismatches == 0

@@ -10,6 +10,8 @@ from linkmark.attacks import ATTACK_KINDS
 from linkmark.cli import build_parser, main
 from linkmark.watermark import NodeRepWatermark, load_wm, save_wm
 
+from conftest import BAD_CHECKPOINTS
+
 REPO = Path(__file__).resolve().parent.parent
 
 SUBCOMMANDS = ["datagen", "split", "wm-gen", "train", "eval", "threshold",
@@ -140,6 +142,19 @@ class TestThresholdAndDispute:
         report = json.loads((tmp_path / "threshold.json").read_text())
         assert report["certificate"] is True
         assert 0.2 < report["threshold"] < 0.9
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_threshold_rejects_non_finite_sample(self, tmp_path, capsys, token):
+        clean = tmp_path / "clean.csv"
+        wm = tmp_path / "wm.csv"
+        clean.write_text(f"0.05\n{token}\n0.10\n0.12\n")
+        wm.write_text("0.95\n0.96\n0.97\n0.98\n")
+        rc = main(["threshold", "--out", str(tmp_path), "--seed", "1",
+                   "--clean-csv", str(clean), "--wm-csv", str(wm), "--n", "1000"])
+        assert rc == 1
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["error"] == "invalid_input" and "finite" in doc["message"]
+        assert not (tmp_path / "threshold.json").exists()
 
     def test_dispute_no_record(self, pipeline, tmp_path):
         out, _ = pipeline
@@ -287,17 +302,25 @@ class TestServeCommand:
 
 
 def test_jobs_env_var_fallback(monkeypatch):
-    from linkmark.cli import _resolve_jobs
-
-    class Args:
-        jobs = None
-
+    """--jobs defaults to 1 on the two fan-out commands, is absent from the
+    others, and no environment variable changes it."""
+    parser = build_parser()
     monkeypatch.setenv("GENIE_LPWM_JOBS", "3")
-    assert _resolve_jobs(Args()) == 3
-    monkeypatch.delenv("GENIE_LPWM_JOBS")
-    assert _resolve_jobs(Args()) == 1
-    Args.jobs = 5
-    assert _resolve_jobs(Args()) == 5
+    assert parser.parse_args(["threshold"]).jobs == 1
+    assert parser.parse_args(["threshold", "--jobs", "5"]).jobs == 5
+    assert parser.parse_args(["reproduce-table1", "--dataset", "d", "--edges", "e",
+                              "--jobs", "5"]).jobs == 5
+    with pytest.raises(SystemExit):
+        parser.parse_args(["split", "--edges", "e", "--jobs", "2"])
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CHECKPOINTS))
+def test_serve_rejects_bad_checkpoint(tmp_path, capsys, name):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(BAD_CHECKPOINTS[name])
+    assert main(["serve", "--checkpoint", str(path), "--edges", "unused.edges"]) == 1
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "invalid_input"
 
 
 @pytest.mark.slow

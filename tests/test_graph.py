@@ -10,6 +10,8 @@ from linkmark.graph import (SPLITS, EdgeListParseError, NoNegativesAvailable,
                             SelfLoopError, load_dataset, load_features,
                             save_dataset, save_edge_list)
 
+from conftest import edge_set
+
 
 def pair_set(ds, mask) -> set:
     return {(int(u), int(v)) for u, v in ds.pairs[mask]}
@@ -25,7 +27,7 @@ class TestLoadEdgeList:
     def test_two_lines(self, tmp_path):
         g = lm.load_edge_list(write(tmp_path, "0 1\n1 2\n"))
         assert g.num_nodes == 3
-        assert g.edge_set() == {(0, 1), (1, 2)}
+        assert edge_set(g.edges) == {(0, 1), (1, 2)}
 
     def test_undirected_dedup(self, tmp_path):
         g = lm.load_edge_list(write(tmp_path, "0 1\n1 0\n"))
@@ -44,7 +46,7 @@ class TestLoadEdgeList:
     def test_comments_and_header(self, tmp_path):
         g = lm.load_edge_list(write(tmp_path, "# comment\nN 10\n0 1 # trailing\n"))
         assert g.num_nodes == 10
-        assert g.edge_set() == {(0, 1)}
+        assert edge_set(g.edges) == {(0, 1)}
 
     def test_header_too_small_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -55,7 +57,7 @@ class TestLoadEdgeList:
         path = tmp_path / "rt.edges"
         save_edge_list(g, path)
         g2 = lm.load_edge_list(path)
-        assert g2.num_nodes == g.num_nodes and g2.edges == g.edges
+        assert g2.num_nodes == g.num_nodes and np.array_equal(g2.edges, g.edges)
 
 
 def test_load_features(tmp_path):
@@ -88,7 +90,7 @@ class TestGenerateSbm:
     def test_deterministic(self):
         a = lm.generate_sbm(3, 10, 0.4, 0.05, seed=42)
         b = lm.generate_sbm(3, 10, 0.4, 0.05, seed=42)
-        assert a.edges == b.edges
+        assert np.array_equal(a.edges, b.edges)
 
     def test_bad_probability(self):
         with pytest.raises(ValueError):
@@ -131,15 +133,15 @@ class TestSplitLinks:
         pos = pair_set(toy_dataset, toy_dataset.labels == 1)
         neg = pair_set(toy_dataset, toy_dataset.labels == 0)
         assert pos & neg == set()
-        assert pos == toy_graph.edge_set()
-        assert all(pair not in toy_graph.edge_set() for pair in neg)
+        assert pos == edge_set(toy_graph.edges)
+        assert not neg & edge_set(toy_graph.edges)
 
     def test_positives_partition_edges(self, toy_graph, toy_dataset):
         per_split = {}
         for split in ("train", "valid", "test"):
             per_split[split] = pair_set(toy_dataset, (toy_dataset.labels == 1)
                                         & (toy_dataset.splits == SPLITS.index(split)))
-        assert per_split["train"] | per_split["valid"] | per_split["test"] == toy_graph.edge_set()
+        assert per_split["train"] | per_split["valid"] | per_split["test"] == edge_set(toy_graph.edges)
         assert not per_split["train"] & per_split["valid"]
         assert not per_split["train"] & per_split["test"]
         assert not per_split["valid"] & per_split["test"]
@@ -158,7 +160,7 @@ class TestSplitLinks:
         g = lm.generate_sbm(2, 8, 0.5, 0.2, seed=5)
         ds = lm.split_links(g, (0.8, 0.1, 0.1), seed=seed)
         for u, v in pair_set(ds, ds.labels == 0):
-            assert (min(u, v), max(u, v)) not in g.edge_set()
+            assert (min(u, v), max(u, v)) not in edge_set(g.edges)
 
     def test_rejection_sampler_on_large_sparse_graph(self):
         # 4000 nodes exceed the enumeration bound, forcing rejection sampling
@@ -167,7 +169,7 @@ class TestSplitLinks:
         ds = lm.split_links(g, (0.8, 0.1, 0.1), seed=3)
         negs = pair_set(ds, ds.labels == 0)
         assert len(negs) == g.num_edges
-        assert not negs & g.edge_set()
+        assert not negs & edge_set(g.edges)
 
 
 class TestExtractKhop:
@@ -179,20 +181,20 @@ class TestExtractKhop:
 
     def test_path_graph_one_hop(self):
         sg = lm.extract_khop(self.path_dataset(), (1, 2), 1)
-        assert sg.node_ids == (0, 1, 2, 3)
-        assert set(sg.local_edges) == {(0, 1), (2, 3)}  # anchor edge removed
+        assert sg.node_ids.tolist() == [0, 1, 2, 3]
+        assert edge_set(sg.local_edges) == {(0, 1), (2, 3)}  # anchor edge removed
         assert sg.anchor == (1, 2)
 
     def test_isolated_pair(self):
         g = lm.Graph.from_edges(6, [(0, 1)], features=np.eye(6))
         ds = lm.split_links(g, (1.0, 0.0, 0.0), seed=0)
         sg = lm.extract_khop(ds, (3, 4), 2)
-        assert sg.node_ids == (3, 4)
-        assert sg.local_edges == ()
+        assert sg.node_ids.tolist() == [3, 4]
+        assert sg.local_edges.shape == (0, 2)
 
     def test_zero_hops(self):
         sg = lm.extract_khop(self.path_dataset(), (1, 2), 0)
-        assert sg.node_ids == (1, 2)
+        assert sg.node_ids.tolist() == [1, 2]
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(13)
@@ -211,6 +213,86 @@ class TestExtractKhop:
             # same multiset of node ids after mapping back
             assert sorted(perm[list(sg.node_ids)].tolist()) == sorted(sg_p.node_ids)
             assert len(sg.local_edges) == len(sg_p.local_edges)
+
+
+def khop_reference(ds, u, v, k):
+    """Set-based BFS: the pre-vectorisation extract_khop, kept as an oracle.
+    Returns (node ids, local edges, anchor) as plain Python values."""
+    adj = ds.mp_adjacency
+    neighbours = lambda node: adj.indices[adj.indptr[node]:adj.indptr[node + 1]].tolist()
+    frontier, reached = {u, v}, {u, v}
+    for _ in range(k):
+        nxt = set().union(*(neighbours(node) for node in frontier))
+        frontier = nxt - reached
+        reached |= nxt
+    node_ids = sorted(reached)
+    local = {node: i for i, node in enumerate(node_ids)}
+    edges = sorted((local[a], local[b]) for a in node_ids for b in neighbours(a)
+                   if b in local and a < b and {a, b} != {u, v})
+    return node_ids, edges, (local[u], local[v])
+
+
+@given(st.integers(min_value=2, max_value=14).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30),
+    # node n has no edges, so an endpoint can be isolated
+    st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True),
+    st.integers(min_value=0, max_value=3))))
+@settings(max_examples=200, deadline=None)
+def test_extract_khop_matches_set_bfs(case):
+    n, pairs, (u, v), k = case
+    g = lm.Graph.from_edges(n + 1, [(a, b) for a, b in pairs if a != b],
+                            features=np.arange(2.0 * (n + 1)).reshape(n + 1, 2))
+    ds = lm.LinkDataset(g.adjacency(), np.zeros((0, 2)), np.zeros(0), np.zeros(0), g.features)
+    sg = lm.extract_khop(ds, (u, v), k, label=1)
+    node_ids, edges, anchor = khop_reference(ds, u, v, k)
+    assert sg.node_ids.tolist() == node_ids and sg.node_ids.dtype == np.int64
+    assert sg.local_edges.tolist() == [list(e) for e in edges]
+    assert sg.local_edges.shape == (len(edges), 2) and sg.local_edges.dtype == np.int64
+    assert sg.anchor == anchor and sg.label == 1
+    assert np.array_equal(sg.local_features, g.features[node_ids])
+
+
+class TestEdgeArrays:
+    @pytest.mark.parametrize("edges, message", [
+        ([[1, 2], [0, 1]], "unsorted"),
+        ([[0, 1], [0, 1]], "duplicate"),
+        ([[0, 1], [2, 2]], "self-loop"),
+        ([[2, 1]], "out of range"),
+        ([[0, 4]], "out of range"),
+        ([[-1, 2]], "out of range"),
+        ([0, 1, 2], "E x 2"),
+    ])
+    def test_graph_rejects_non_canonical_edges(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            lm.Graph(4, np.array(edges), np.zeros((4, 1)))
+
+    def test_graph_rejects_feature_row_mismatch(self):
+        with pytest.raises(ValueError, match="feature rows"):
+            lm.Graph(4, np.array([[0, 1]]), np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("node_ids, local_edges, message", [
+        ([3, 1], [], "sorted and distinct"),
+        ([1, 1], [], "sorted and distinct"),
+        ([1, 3], [[0, 2]], "out of range"),
+        ([1, 3, 5], [[1, 2], [0, 1]], "unsorted"),
+        ([1, 3, 5], [[0, 1], [0, 1]], "duplicate"),
+    ])
+    def test_subgraph_rejects_bad_arrays(self, node_ids, local_edges, message):
+        with pytest.raises(ValueError, match=message):
+            lm.Subgraph(node_ids, local_edges, np.zeros((len(node_ids), 1)), (0, 1), 0)
+
+    def test_from_edges_canonicalises(self):
+        g = lm.Graph.from_edges(4, [(2, 1), (0, 3), (1, 2)])
+        assert g.edges.tolist() == [[0, 3], [1, 2]] and g.edges.dtype == np.int64
+        assert lm.Graph.from_edges(4, []).edges.shape == (0, 2)
+
+    def test_arrays_are_read_only(self, toy_graph, toy_dataset):
+        pairs, _ = toy_dataset.split_arrays("train")
+        sg = lm.extract_khop(toy_dataset, pairs[0], 1)
+        for array in (toy_graph.edges, toy_graph.features, sg.node_ids, sg.local_edges):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 def test_dataset_roundtrip(tmp_path, toy_dataset):
@@ -253,6 +335,10 @@ class TestLoadDatasetValidation:
         ({"splits": np.array([0, 256], dtype=np.int64)}, "split codes"),
         ({"labels": np.array([1, 2])}, "labels"),
         ({"labels": np.array([1, -1])}, "labels"),
+        # a column of node ids must not be read as rows of edges
+        ({"mp_edges": np.array([[0], [1]])}, "E x 2"),
+        ({"mp_edges": np.array([[1, 0]])}, "out of range"),
+        ({"mp_edges": np.array([[0, 1], [0, 1]])}, "duplicate"),
     ])
     def test_bad_arrays_rejected(self, tmp_path, override, message):
         with pytest.raises(ValueError, match=message):

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,7 +13,7 @@ from linkmark.nn import (SEGMENT_NODES, AdamState, PairBatch, SubgraphBatch, ada
                          log_softmax, loss_and_grads, nll_loss, positive_scores,
                          score_pairs, softmax)
 
-from conftest import finite_difference_grads, max_rel_err, random_params
+from conftest import BAD_CHECKPOINTS, finite_difference_grads, max_rel_err, random_params
 
 # seeds below are pinned to instances whose pre-activations stay clear of
 # ReLU kinks; central differences are meaningless within h of a kink
@@ -435,3 +438,24 @@ class TestCheckpoint:
         path.write_bytes(b"NOTAMODEL")
         with pytest.raises(ValueError):
             lm.LinkPredictor.load(path)
+
+    @pytest.mark.parametrize("name", sorted(BAD_CHECKPOINTS))
+    def test_bad_header_rejected_in_bounded_memory(self, tmp_path, name):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(BAD_CHECKPOINTS[name])
+        assert len(BAD_CHECKPOINTS["dims_past_end"]) == 78
+        probe = ("import resource, sys\n"
+                 "import linkmark as lm\n"
+                 "try:\n"
+                 "    lm.LinkPredictor.load(sys.argv[1])\n"
+                 "except ValueError as exc:\n"
+                 "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, exc)\n")
+        # Linux carries a process's peak RSS across fork and exec, so the
+        # probe is started from a small launcher rather than from pytest
+        launcher = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+        proc = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-c", probe,
+                               str(path)], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stdout, proc.stderr
+        max_rss_kib = int(proc.stdout.split()[0])
+        # importing linkmark alone peaks near 60 MB
+        assert max_rss_kib < 128 * 1024

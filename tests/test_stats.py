@@ -168,6 +168,37 @@ class TestKdeSample:
         assert np.array_equal(kde_sample(x, 0.1, 64, seed=12),
                               kde_sample(x, 0.1, 64, seed=12))
 
+    def test_generator_continues_indices_then_noise(self):
+        # two draws from one Generator equal the inline index-then-noise
+        # sequence, with a shape as the count
+        x = np.array([0.2, 0.5, 0.7])
+        rng = np.random.default_rng(13)
+        got = [kde_sample(x, 0.1, (4, 3), rng), kde_sample(x, 0.2, 5, rng)]
+        ref = np.random.default_rng(13)
+        want = []
+        for h, size in ((0.1, (4, 3)), (0.2, 5)):
+            picks = ref.integers(0, len(x), size=size)
+            want.append(x[picks] + ref.normal(0.0, h, size=size))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestNonFiniteSamples:
+    CLEAN = [0.05, 0.08, 0.10, 0.12, 0.07]
+    WM = [0.95, 0.96, 0.97, 0.98, 0.94]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", ["dwt_threshold", "smoothed_bootstrap_test",
+                                       "shapiro_wilk"])
+    def test_rejected_on_either_side(self, entry, bad):
+        run = {"dwt_threshold": lambda c, w: dwt_threshold(c, w, n=100, gamma=0.95),
+               "smoothed_bootstrap_test": lambda c, w: smoothed_bootstrap_test(
+                   c, w, replicates=100),
+               "shapiro_wilk": lambda c, w: (shapiro_wilk(c), shapiro_wilk(w))}[entry]
+        for clean, wm in ((self.CLEAN[:-1] + [bad], self.WM),
+                          (self.CLEAN, self.WM[:-1] + [bad])):
+            with pytest.raises(ValueError, match="finite"):
+                run(clean, wm)
+
 
 class TestBlocksRequired:
     # gamma values paired with the block counts their formula demands;

@@ -11,12 +11,14 @@ import linkmark as lm
 from linkmark.watermark import (build_node_rep_wm, deserialize_wm,
                                 gen_subgraph_wm, serialize_wm, watermark_vector)
 
+from conftest import edge_set
+
 
 def brute_force_flip(g, nodes):
     """Complement the induced subgraph by explicit enumeration."""
     node_set = set(int(v) for v in nodes)
     internal = {p for p in itertools.combinations(sorted(node_set), 2)}
-    edges = set(g.edges)
+    edges = edge_set(g.edges)
     flipped = {e for e in edges if not set(e) <= node_set}
     flipped |= {p for p in internal if p not in edges}
     labels = {p: (0 if p in edges else 1) for p in sorted(internal)}
@@ -44,7 +46,7 @@ class TestNodeRepWatermark:
         wm = build_node_rep_wm(g, np.array([1, 2, 3]), watermark_vector(4, 0), 0.6)
         got = {tuple(p): int(y) for p, y in zip(wm.pairs, wm.labels)}
         assert got == {(1, 2): 0, (1, 3): 1, (2, 3): 1}
-        flipped = set(wm.edges)
+        flipped = edge_set(wm.edges)
         assert (1, 3) in flipped and (2, 3) in flipped and (1, 2) not in flipped
         a = g.adjacency().toarray()
         a_wm = wm.adjacency().toarray()
@@ -106,7 +108,7 @@ class TestNodeRepWatermark:
             nodes = np.sort(rng.choice(12, size=size, replace=False))
             wm = build_node_rep_wm(g, nodes, watermark_vector(3, trial), 0.5)
             flipped, labels = brute_force_flip(g, nodes)
-            assert set(wm.edges) == flipped
+            assert edge_set(wm.edges) == flipped
             assert {tuple(p): int(y) for p, y in zip(wm.pairs, wm.labels)} == labels
 
     def test_rate_governs_subset_size(self):
@@ -149,8 +151,8 @@ class TestSubgraphWatermark:
         for idx, modified in zip(wm.indices, wm.subgraphs):
             original = sgs[int(idx)]
             assert modified.label == 1 - original.label
-            assert modified.local_edges == original.local_edges
-            assert modified.node_ids == original.node_ids
+            assert np.array_equal(modified.local_edges, original.local_edges)
+            assert np.array_equal(modified.node_ids, original.node_ids)
             assert modified.anchor == original.anchor
 
     def test_features_all_equal_vector(self, toy_dataset):
@@ -246,6 +248,14 @@ def node_rep_header(num_nodes: int, d: int) -> bytes:
     return b"GWM1" + struct.pack("<BIId", 0, num_nodes, d, 0.1)
 
 
+def node_rep_blob(edges) -> bytes:
+    """A 4-node, d = 1 node-rep blob with no sampled nodes or pairs and the
+    given flipped-graph edge records."""
+    records = b"".join(struct.pack("<II", u, v) for u, v in edges)
+    return (node_rep_header(4, 1) + struct.pack("<III", 0, 0, len(edges)) + records
+            + bytes(8 * (1 + 4)))
+
+
 MALFORMED = {
     # 2^31 nine-byte pair records would need 18 GiB
     "node_rep_2e31_pairs": node_rep_header(4, 1) + struct.pack("<II", 0, 2**31),
@@ -254,12 +264,20 @@ MALFORMED = {
     "truncated_header": node_rep_header(4, 1)[:9],
     "overlong_subgraph_record": one_subgraph_blob(+1),
     "short_subgraph_record": one_subgraph_blob(-1),
+    "duplicate_edge": node_rep_blob([(0, 1), (0, 1)]),
+    "self_loop_edge": node_rep_blob([(2, 2)]),
+    "edge_past_num_nodes": node_rep_blob([(0, 4)]),
 }
 
 
 class TestMalformedBlobs:
     def test_one_subgraph_blob_is_valid(self):
         assert len(deserialize_wm(one_subgraph_blob(0)).subgraphs) == 1
+
+    def test_node_rep_blob_is_valid(self):
+        # records in any order load as the sorted edge array
+        wm = deserialize_wm(node_rep_blob([(1, 3), (0, 1)]))
+        assert wm.edges.tolist() == [[0, 1], [1, 3]]
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_rejected_with_value_error(self, name):
