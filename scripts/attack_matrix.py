@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 from linkmark.attacks import FINETUNE_MODES, attacker_split, make_report, run_attack
@@ -78,7 +79,7 @@ def main() -> int:
                                                 "verdict"])
         writer.writeheader()
         for report in reports:
-            writer.writerow(report.to_json_dict())
+            writer.writerow(asdict(report))
     print(f"wrote {args.out} ({len(reports)} attacks)")
     print(json.dumps({r.kind: r.verdict for r in reports}, indent=2))
     return 0

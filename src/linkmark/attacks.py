@@ -35,9 +35,6 @@ class AttackReport:
     threshold: float
     verdict: str
 
-    def to_json_dict(self) -> dict:
-        return self.__dict__.copy()
-
 
 def attack_verdict(auc_wm_post: float, auc_test_pre: float, auc_test_post: float,
                    threshold: float) -> str:

@@ -1,18 +1,19 @@
 """Subcommand front-end wiring the library into end-to-end workflows.
 
-Every command takes ``--out <dir>``, writes its artifacts there together with
-a ``<command>_manifest.json`` recording the seed and config hash, and exits
-nonzero with a machine-readable JSON error on stderr when anything fails.
-All randomness flows from a single ``--seed`` through named streams, so each
-stage is individually reproducible. The two fan-out commands, ``threshold``
-and ``reproduce-table1``, take ``--jobs`` (default 1) to bound their worker
-pool.
+Each setting a command reads is resolved once: the explicit flag, else the
+key of the ``--config`` JSON file, else ``DEFAULTS``; no other module knows
+the config format. Every command but ``serve`` writes its artifacts under
+``--out`` with a ``<command>_manifest.json`` of the settings that ran and the
+artifact hashes, and a failing command exits 1 with a JSON error on stderr.
+All randomness flows from the resolved ``seed`` through named streams. The
+fan-out commands ``threshold`` and ``reproduce-table1`` take ``--jobs``.
 """
 
 import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,17 @@ from .watermark import load_wm, save_wm, watermark_auc
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_USAGE = 2
+
+# Every setting by its config key. A flag whose dest is a key overrides it.
+DEFAULTS = {
+    "seed": 0,
+    "blocks": 2, "per_block": 100, "p_in": 0.25, "p_out": 0.02, "feature_dim": 32,
+    "pathway": WmParams.pathway, "rate": WmParams.rate, "hops": WmParams.hops,
+    "ratios": WmParams.split_ratios,
+    "arch": TrainConfig.arch, "hidden": TrainConfig.hidden_dim,
+    "epochs": TrainConfig.epochs, "lr": TrainConfig.learning_rate, "method": "genie",
+    "gamma": 0.95, "n": 1_000_000, "models": 10,
+}
 
 
 def _fail(code: str, message: str) -> int:
@@ -45,33 +56,59 @@ def _pool_map(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _load_config(args) -> dict:
+def _settings(args) -> dict:
+    """Resolve every key of DEFAULTS once: the flag if given, else the
+    --config key (cast to the default's type), else the default. "config"
+    holds the config document as read."""
+    config = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
+            config = json.load(fh)
+        if not isinstance(config, dict):
             raise ValueError("config must be a JSON object")
-        return doc
-    return {}
+    s = {"config": config}
+    for key, default in DEFAULTS.items():
+        flag = getattr(args, key, None)
+        try:
+            s[key] = flag if flag is not None else type(default)(config.get(key, default))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+    return s
 
 
-def _write_manifest(out_dir: Path, command: str, params: dict, artifacts: dict) -> None:
-    canonical = json.dumps(params, sort_keys=True)
-    doc = {
+def _train_config(s: dict) -> TrainConfig:
+    return TrainConfig(epochs=s["epochs"], learning_rate=s["lr"], hidden_dim=s["hidden"],
+                       seed=s["seed"], arch=s["arch"])
+
+
+def _wm_params(s: dict) -> WmParams:
+    return WmParams(s["pathway"], s["rate"], s["hops"], s["ratios"])
+
+
+def _emit(out: Path, command: str, params: dict, artifacts: list, report=None,
+          line=None) -> int:
+    """Finish a command: write `report`, a (file name, JSON document) pair,
+    into `out`; write the manifest over the files named in `artifacts` and
+    the report; print `line`, by default the report on one line."""
+    names = list(artifacts)
+    if report is not None:
+        name, doc = report
+        with open(out / name, "w") as fh:
+            json.dump(doc, fh, indent=2)
+        if name not in names:
+            names.append(name)
+        line = json.dumps(doc) if line is None else line
+    manifest = {
         "command": command,
         "params": params,
         "seed": params.get("seed"),
-        "config_sha256": sha256_hex(canonical.encode()),
-        "artifacts": {name: sha256_file(path) for name, path in artifacts.items()},
+        "config_sha256": sha256_hex(json.dumps(params, sort_keys=True).encode()),
+        "artifacts": {name: sha256_file(out / name) for name in names},
     }
-    with open(out_dir / f"{command}_manifest.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    with open(out / f"{command}_manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2)
+    print(line)
+    return EXIT_OK
 
 
 def _load_graph(edges_path, features_path=None):
@@ -79,17 +116,6 @@ def _load_graph(edges_path, features_path=None):
     if features_path:
         return g.with_features(load_features(features_path, g.num_nodes))
     return g
-
-
-def _train_cfg(doc: dict, args) -> TrainConfig:
-    cfg = TrainConfig.from_json_dict(doc)
-    if getattr(args, "epochs", None) is not None:
-        cfg.epochs = args.epochs
-    if getattr(args, "method", None):
-        cfg.method = args.method
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    return cfg
 
 
 def _split_batches(ds, params: WmParams):
@@ -116,86 +142,66 @@ def read_samples_csv(path) -> np.ndarray:
         return finite_samples([float(line) for line in fh if line.strip()])
 
 
-def cmd_datagen(args) -> int:
-    out = _out_dir(args)
-    cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+def cmd_datagen(args, s) -> int:
     if args.edges:
         g = _load_graph(args.edges, args.features)
     else:
-        g = generate_sbm(cfg.get("blocks", 2), cfg.get("per_block", 100),
-                         cfg.get("p_in", 0.25), cfg.get("p_out", 0.02),
-                         derive_seed(seed, "sbm"))
-    dim = int(cfg.get("feature_dim", args.feature_dim))
-    g = init_features(g, dim, derive_seed(seed, "features"))
-    edges_path = out / "graph.edges"
-    feat_path = out / "graph.features"
-    save_edge_list(g, edges_path)
-    with open(feat_path, "w") as fh:
+        g = generate_sbm(s["blocks"], s["per_block"], s["p_in"], s["p_out"],
+                         derive_seed(s["seed"], "sbm"))
+    g = init_features(g, s["feature_dim"], derive_seed(s["seed"], "features"))
+    save_edge_list(g, args.out / "graph.edges")
+    with open(args.out / "graph.features", "w") as fh:
         for i in range(g.num_nodes):
             row = " ".join(repr(float(x)) for x in g.features[i])
             fh.write(f"{i} {row}\n")
-    params = {"seed": seed, "feature_dim": dim, "source": args.edges or "sbm", **cfg}
-    _write_manifest(out, "datagen", params, {"graph.edges": edges_path,
-                                             "graph.features": feat_path})
-    print(f"graph: {g.num_nodes} nodes, {g.num_edges} edges -> {edges_path}")
-    return EXIT_OK
+    params = {"seed": s["seed"], "feature_dim": s["feature_dim"],
+              "source": args.edges or "sbm",
+              **{key: s.get(key, value) for key, value in s["config"].items()}}
+    return _emit(args.out, "datagen", params, ["graph.edges", "graph.features"],
+                 line=f"graph: {g.num_nodes} nodes, {g.num_edges} edges -> "
+                      f"{args.out / 'graph.edges'}")
 
 
-def cmd_split(args) -> int:
-    out = _out_dir(args)
-    cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    ratios = tuple(cfg.get("ratios", (0.8, 0.1, 0.1)))
+def cmd_split(args, s) -> int:
+    ds = split_links(_load_graph(args.edges, args.features), s["ratios"],
+                     derive_seed(s["seed"], "split"))
+    save_dataset(ds, args.out / "dataset.npz")
+    counts = {split: len(ds.split_arrays(split)[1]) for split in SPLITS}
+    params = {"seed": s["seed"], "ratios": list(s["ratios"]), "edges": str(args.edges)}
+    return _emit(args.out, "split", params, ["dataset.npz"],
+                 line=f"split sizes: {counts} -> {args.out / 'dataset.npz'}")
+
+
+def cmd_wm_gen(args, s) -> int:
+    params = _wm_params(s)
     g = _load_graph(args.edges, args.features)
-    ds = split_links(g, ratios, derive_seed(seed, "split"))
-    ds_path = out / "dataset.npz"
-    save_dataset(ds, ds_path)
-    params = {"seed": seed, "ratios": list(ratios), "edges": str(args.edges)}
-    _write_manifest(out, "split", params, {"dataset.npz": ds_path})
-    counts = {s: len(ds.split_arrays(s)[1]) for s in SPLITS}
-    print(f"split sizes: {counts} -> {ds_path}")
-    return EXIT_OK
+    save_wm(generate_watermark(g, params, derive_seed(s["seed"], "wm")),
+            args.out / "trigger.gwm")
+    return _emit(args.out, "wm-gen",
+                 {"seed": s["seed"], "pathway": params.pathway, "rate": params.rate},
+                 ["trigger.gwm"], line=f"trigger set: {params.pathway}, rate "
+                                       f"{params.rate} -> {args.out / 'trigger.gwm'}")
 
 
-def cmd_wm_gen(args) -> int:
-    out = _out_dir(args)
-    cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    params = WmParams.from_json_dict(cfg)
-    g = _load_graph(args.edges, args.features)
-    wm = generate_watermark(g, params, derive_seed(seed, "wm"))
-    wm_path = out / "trigger.gwm"
-    save_wm(wm, wm_path)
-    _write_manifest(out, "wm-gen", {"seed": seed, "pathway": params.pathway,
-                                    "rate": params.rate}, {"trigger.gwm": wm_path})
-    print(f"trigger set: {params.pathway}, rate {params.rate} -> {wm_path}")
-    return EXIT_OK
-
-
-def cmd_train(args) -> int:
-    out = _out_dir(args)
-    doc = _load_config(args)
-    cfg = _train_cfg(doc, args)
-    cfg.method = cfg.method if args.wm else "clean"
+def cmd_train(args, s) -> int:
+    cfg = _train_config(s)
+    method = s["method"] if args.wm else "clean"
     ds = load_dataset(args.dataset)
-    batches = _split_batches(ds, WmParams.from_json_dict(doc))
+    batches = _split_batches(ds, _wm_params(s))
     wm_batch = load_wm(args.wm).batch() if args.wm else None
     model = LinkPredictor.init(cfg.arch, ds.features.shape[1], cfg.hidden_dim,
                                derive_seed(cfg.seed, "init"))
-    embed.embed_with_method(cfg.method, model, batches["train"], wm_batch, cfg)
-    ckpt = out / "model.ckpt"
-    model.save(ckpt)
-    _write_manifest(out, "train", cfg.to_json_dict(), {"model.ckpt": ckpt})
-    print(f"trained {cfg.arch}/{cfg.method} for {cfg.epochs} epochs -> {ckpt}")
-    return EXIT_OK
+    embed.embed_with_method(method, model, batches["train"], wm_batch, cfg)
+    model.save(args.out / "model.ckpt")
+    params = {**{key: s[key] for key in ("arch", "hidden", "epochs", "lr", "seed")},
+              "method": method}
+    return _emit(args.out, "train", params, ["model.ckpt"],
+                 line=f"trained {cfg.arch}/{method} for {cfg.epochs} epochs -> "
+                      f"{args.out / 'model.ckpt'}")
 
 
-def cmd_eval(args) -> int:
-    out = _out_dir(args)
-    doc = _load_config(args)
-    ds = load_dataset(args.dataset)
-    batches = _split_batches(ds, WmParams.from_json_dict(doc))
+def cmd_eval(args, s) -> int:
+    batches = _split_batches(load_dataset(args.dataset), _wm_params(s))
     model = LinkPredictor.load(args.checkpoint)
     report = {
         "auc_test": evaluate_auc(model, batches["test"]),
@@ -203,339 +209,236 @@ def cmd_eval(args) -> int:
     }
     if args.wm:
         report["auc_wm"] = watermark_auc(model, load_wm(args.wm))
-    path = out / "eval.json"
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-    _write_manifest(out, "eval", {"checkpoint": str(args.checkpoint),
-                                  "seed": None}, {"eval.json": path})
-    print(json.dumps(report))
-    return EXIT_OK
+    return _emit(args.out, "eval", {"checkpoint": str(args.checkpoint), "seed": None},
+                 [], ("eval.json", report))
 
 
 def _threshold_task(task: dict) -> dict:
     """One (seed, kind) model training for threshold estimation; runs in a
-    worker process, so everything arrives via paths, plain values and WmParams."""
+    worker process, so everything arrives via paths and plain values."""
+    s, seed = task["settings"], task["seed"]
+    params = _wm_params(s)
     ds = load_dataset(task["dataset"])
-    batches = _split_batches(ds, task["params"])
-    cfg = TrainConfig.from_json_dict(task["cfg"])
-    cfg.seed = task["seed"]
+    batches = _split_batches(ds, params)
+    cfg = _train_config({**s, "seed": seed})
     wm = generate_watermark(_load_graph(task["edges"], task["features"]),
-                            task["params"], derive_seed(task["seed"], "wm"))
+                            params, derive_seed(seed, "wm"))
     model = LinkPredictor.init(cfg.arch, ds.features.shape[1], cfg.hidden_dim,
-                               derive_seed(cfg.seed, "init"))
-    method = "clean" if task["kind"] == "clean" else cfg.method
+                               derive_seed(seed, "init"))
+    method = "clean" if task["kind"] == "clean" else s["method"]
     embed.embed_with_method(method, model, batches["train"], wm.batch(), cfg)
-    return {"kind": task["kind"], "seed": task["seed"],
-            "auc_wm": watermark_auc(model, wm),
-            "auc_test": evaluate_auc(model, batches["test"])}
+    return {"kind": task["kind"], "seed": seed, "auc_wm": watermark_auc(model, wm)}
 
 
-def _cohort_aucs(args, cfg_doc: dict, seed: int, count: int):
-    """Train `count` clean and `count` watermarked models over the worker
+def _cohort_aucs(args, s: dict):
+    """Train `models` clean and `models` watermarked models over the worker
     pool; returns their trigger AUCs as (clean, wm) lists in seed order."""
     tasks = [{"dataset": str(args.dataset), "edges": str(args.edges),
               "features": str(args.features) if args.features else None,
-              "cfg": TrainConfig.from_json_dict(cfg_doc).to_json_dict(),
-              "seed": derive_seed(seed, f"{kind}{i}"), "kind": kind,
-              "params": WmParams.from_json_dict(cfg_doc)}
-             for kind in ("clean", "wm") for i in range(count)]
+              "settings": s, "seed": derive_seed(s["seed"], f"{kind}{i}"), "kind": kind}
+             for kind in ("clean", "wm") for i in range(s["models"])]
     results = _pool_map(_threshold_task, tasks, args.jobs)
     results.sort(key=lambda r: (r["kind"], r["seed"]))
     return tuple([r["auc_wm"] for r in results if r["kind"] == kind]
                  for kind in ("clean", "wm"))
 
 
-def cmd_threshold(args) -> int:
-    out = _out_dir(args)
-    cfg_doc = _load_config(args)
-    seed = args.seed if args.seed is not None else int(cfg_doc.get("seed", 0))
-    gamma = float(cfg_doc.get("gamma", args.gamma))
-    n = int(cfg_doc.get("n", args.n))
-    if args.clean_csv and args.wm_csv:
+def cmd_threshold(args, s) -> int:
+    if args.clean_csv or args.wm_csv:
+        if not (args.clean_csv and args.wm_csv):
+            missing = "--wm-csv" if args.clean_csv else "--clean-csv"
+            return _fail("missing_input", f"threshold needs {missing} too: it reads "
+                                          "both sample CSVs or neither")
         clean = read_samples_csv(args.clean_csv)
         wm = read_samples_csv(args.wm_csv)
+    elif not (args.dataset and args.edges):
+        return _fail("missing_input", "threshold needs --dataset and --edges "
+                                      "unless sample CSVs are given")
     else:
-        if not (args.dataset and args.edges):
-            return _fail("missing_input", "threshold needs --dataset and --edges "
-                                          "unless sample CSVs are given")
-        count = int(cfg_doc.get("models", args.models))
-        clean, wm = map(np.array, _cohort_aucs(args, cfg_doc, seed, count))
-        write_samples_csv(clean, out / "clean_aucs.csv")
-        write_samples_csv(wm, out / "wm_aucs.csv")
-    report = dwt_threshold(clean, wm, n=n, gamma=gamma, seed=derive_seed(seed, "dwt"))
-    path = out / "threshold.json"
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-    _write_manifest(out, "threshold", {"seed": seed, "gamma": gamma, "n": n},
-                    {"threshold.json": path})
-    print(json.dumps(report.to_json_dict()))
-    return EXIT_OK
+        clean, wm = map(np.array, _cohort_aucs(args, s))
+        write_samples_csv(clean, args.out / "clean_aucs.csv")
+        write_samples_csv(wm, args.out / "wm_aucs.csv")
+    report = dwt_threshold(clean, wm, n=s["n"], gamma=s["gamma"],
+                           seed=derive_seed(s["seed"], "dwt"))
+    return _emit(args.out, "threshold", {"seed": s["seed"], "gamma": s["gamma"], "n": s["n"]},
+                 [], ("threshold.json", asdict(report)))
 
 
-def cmd_attack(args) -> int:
-    out = _out_dir(args)
-    cfg_doc = _load_config(args)
-    seed = args.seed if args.seed is not None else int(cfg_doc.get("seed", 0))
-    kind = args.kind
-    if kind not in ATTACK_KINDS:
-        return _fail("unknown_attack", f"unknown attack {kind!r}")
+def cmd_attack(args, s) -> int:
+    if args.kind not in ATTACK_KINDS:
+        return _fail("unknown_attack", f"unknown attack {args.kind!r}")
     ds = load_dataset(args.dataset)
     wm = load_wm(args.wm)
     model = LinkPredictor.load(args.checkpoint)
-    attack_batch, eval_batch = attacker_split(ds, derive_seed(seed, "attacker"))
-    threshold = args.threshold
-    cfg = TrainConfig.from_json_dict(cfg_doc)
-    cfg.seed = seed
-    attacked = run_attack(kind, model, attack_batch, cfg, fraction=args.fraction,
-                          bits=args.bits, epochs=args.epochs, mix=args.mix,
+    attack_batch, eval_batch = attacker_split(ds, derive_seed(s["seed"], "attacker"))
+    attacked = run_attack(args.kind, model, attack_batch, _train_config(s),
+                          fraction=args.fraction, bits=args.bits,
+                          epochs=args.finetune_epochs, mix=args.mix,
                           surrogate_arch=args.surrogate_arch)
-    report = make_report(kind, model, attacked, eval_batch, wm, threshold)
-    path = out / f"attack_{kind}.json"
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-    _write_manifest(out, "attack", {"seed": seed, "kind": kind,
-                                    "threshold": threshold}, {path.name: path})
-    print(json.dumps(report.to_json_dict()))
-    return EXIT_OK
+    report = make_report(args.kind, model, attacked, eval_batch, wm, args.threshold)
+    params = {"seed": s["seed"], "kind": args.kind, "threshold": args.threshold}
+    return _emit(args.out, "attack", params, [], (f"attack_{args.kind}.json", asdict(report)))
 
 
-def cmd_register(args) -> int:
-    out = _out_dir(args)
-    cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+def cmd_register(args, s) -> int:
     g = _load_graph(args.edges, args.features)
-    params = WmParams.from_json_dict(cfg)
-    wm, record = register(g, params, args.board, args.who, derive_seed(seed, "wm"))
-    wm_path = out / "trigger.gwm"
-    save_wm(wm, wm_path)
-    receipt = out / "receipt.json"
-    with open(receipt, "w") as fh:
-        json.dump(record.to_json_dict(), fh, indent=2)
-    _write_manifest(out, "register", {"seed": seed, "who": args.who},
-                    {"trigger.gwm": wm_path, "receipt.json": receipt})
-    print(json.dumps(record.to_json_dict()))
-    return EXIT_OK
+    wm, record = register(g, _wm_params(s), args.board, args.who,
+                          derive_seed(s["seed"], "wm"))
+    save_wm(wm, args.out / "trigger.gwm")
+    return _emit(args.out, "register", {"seed": s["seed"], "who": args.who},
+                 ["trigger.gwm"], ("receipt.json", record.to_json_dict()))
 
 
-def cmd_dispute(args) -> int:
-    out = _out_dir(args)
-    wm = load_wm(args.wm)
-    suspect = LinkPredictor.load(args.checkpoint)
-    verdict = dispute(args.board, wm, suspect,
-                      read_samples_csv(args.clean_csv),
-                      read_samples_csv(args.wm_csv),
-                      gamma=args.gamma, n=args.n,
-                      seed=derive_seed(args.seed or 0, "dispute"),
-                      claimed_hash=args.claimed_hash,
-                      checkpoint_path=args.checkpoint)
-    path = out / "verdict.json"
-    with open(path, "w") as fh:
-        json.dump(verdict.to_json_dict(), fh, indent=2)
-    _write_manifest(out, "dispute", {"seed": args.seed, "gamma": args.gamma,
-                                     "n": args.n}, {"verdict.json": path})
-    print(json.dumps(verdict.to_json_dict()))
-    return EXIT_OK
+def cmd_dispute(args, s) -> int:
+    verdict = dispute(args.board, load_wm(args.wm), LinkPredictor.load(args.checkpoint),
+                      read_samples_csv(args.clean_csv), read_samples_csv(args.wm_csv),
+                      gamma=s["gamma"], n=s["n"], seed=derive_seed(s["seed"], "dispute"),
+                      claimed_hash=args.claimed_hash, checkpoint_path=args.checkpoint)
+    return _emit(args.out, "dispute", {"seed": s["seed"], "gamma": s["gamma"], "n": s["n"]},
+                 [], ("verdict.json", asdict(verdict)))
 
 
-def cmd_serve(args) -> int:
+def cmd_serve(args, s) -> int:
     model = LinkPredictor.load(args.checkpoint)
     if args.wm:
-        wm = load_wm(args.wm)
-        session = ServeSession.for_watermark(model, wm, defense=args.defense)
+        session = ServeSession.for_watermark(model, load_wm(args.wm), defense=args.defense)
     else:
         if args.defense:
             return _fail("missing_wm", "defense requires --wm")
         g = _load_graph(args.edges, args.features)
         session = ServeSession(model, g.adjacency(), g.features)
     for line in sys.stdin:
-        line = line.strip()
-        if not line:
-            continue
-        print(session.handle_line(line), flush=True)
+        if line.strip():
+            print(session.handle_line(line.strip()), flush=True)
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    out = _out_dir(args)
-    rows = []
+def cmd_report(args, s) -> int:
+    kinds = {"clean": [], "wm": []}
     for path in sorted(Path(args.runs).rglob("eval.json")):
         with open(path) as fh:
-            rows.append({"run": str(path.parent.name), **json.load(fh)})
-    if args.table == "mainResults":
-        kinds = {"clean": [], "wm": []}
-        for row in rows:
-            kinds["wm" if row.get("auc_wm") is not None else "clean"].append(row)
-        path = out / "mainResults.csv"
-        with open(path, "w") as fh:
-            fh.write("auc_test_clean,auc_test_wm,auc_wm_wm\n")
-            for clean_row, wm_row in zip(kinds["clean"], kinds["wm"]):
-                fh.write(f"{clean_row['auc_test']},{wm_row['auc_test']},{wm_row['auc_wm']}\n")
-        print(f"wrote {path}")
-        _write_manifest(out, "report", {"table": args.table, "seed": None},
-                        {"mainResults.csv": path})
-        return EXIT_OK
-    return _fail("unknown_table", f"unknown table {args.table!r}")
+            row = json.load(fh)
+        kinds["wm" if row.get("auc_wm") is not None else "clean"].append(row)
+    path = args.out / "mainResults.csv"
+    with open(path, "w") as fh:
+        fh.write("auc_test_clean,auc_test_wm,auc_wm_wm\n")
+        for clean_row, wm_row in zip(kinds["clean"], kinds["wm"]):
+            fh.write(f"{clean_row['auc_test']},{wm_row['auc_test']},{wm_row['auc_wm']}\n")
+    return _emit(args.out, "report", {"table": "mainResults", "seed": None},
+                 ["mainResults.csv"], line=f"wrote {path}")
 
 
-def cmd_reproduce_table1(args) -> int:
-    out = _out_dir(args)
-    cfg_doc = _load_config(args)
-    seed = args.seed if args.seed is not None else int(cfg_doc.get("seed", 0))
-    count = int(cfg_doc.get("models", args.models))
-    clean, wm = _cohort_aucs(args, cfg_doc, seed, count)
+def cmd_reproduce_table1(args, s) -> int:
+    clean, wm = _cohort_aucs(args, s)
     _, p_clean = shapiro_wilk(clean)
     _, p_wm = shapiro_wilk(wm)
     p_boot = smoothed_bootstrap_test(clean, wm, replicates=100_000,
-                                     seed=derive_seed(seed, "boot"))
+                                     seed=derive_seed(s["seed"], "boot"))
     doc = {"clean_auc_wm": clean, "wm_auc_wm": wm,
            "shapiro_p_clean": p_clean, "shapiro_p_wm": p_wm,
            "bootstrap_p": p_boot, "reject_null": p_boot < 0.05}
-    path = out / "table1.json"
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-    csv_path = out / "table1.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("score," + ",".join(f"i={i+1}" for i in range(count)) + "\n")
+    with open(args.out / "table1.csv", "w") as fh:
+        fh.write("score," + ",".join(f"i={i+1}" for i in range(s["models"])) + "\n")
         fh.write("clean," + ",".join(f"{v:.4f}" for v in clean) + "\n")
         fh.write("wm," + ",".join(f"{v:.4f}" for v in wm) + "\n")
-    _write_manifest(out, "reproduce-table1", {"seed": seed, "models": count},
-                    {"table1.json": path, "table1.csv": csv_path})
-    print(json.dumps({k: doc[k] for k in ("shapiro_p_clean", "shapiro_p_wm",
-                                          "bootstrap_p", "reject_null")}))
+    line = json.dumps({k: doc[k] for k in ("shapiro_p_clean", "shapiro_p_wm",
+                                           "bootstrap_p", "reject_null")})
     if doc["reject_null"]:
-        print("null hypothesis of equal means REJECTED (p < 0.05)")
-    return EXIT_OK
+        line += "\nnull hypothesis of equal means REJECTED (p < 0.05)"
+    return _emit(args.out, "reproduce-table1", {"seed": s["seed"], "models": s["models"]},
+                 ["table1.json", "table1.csv"], ("table1.json", doc), line)
+
+
+# Flags shared by several commands. In a command's flag list, a trailing "!"
+# makes the flag required there.
+FLAGS = {
+    "config": dict(help="JSON config file; an explicit flag beats its keys"),
+    "seed": dict(type=int, help="master seed (default: the config's seed, else 0)"),
+    "out": dict(default=".", help="artifact directory"),
+    "jobs": dict(type=int, default=1, help="worker pool size"),
+    **dict.fromkeys(("edges", "features", "dataset", "checkpoint", "wm", "board"), {}),
+    "models": dict(type=int, help="models per cohort"),
+    "gamma": dict(type=float, help="certificate confidence"),
+    "n": dict(type=int, help="certificate block size"),
+    "clean-csv": dict(help="clean trigger-AUC samples, one per line"),
+    "wm-csv": dict(help="watermarked trigger-AUC samples, one per line"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linkmark",
         description="Watermark link-prediction GNNs, certify ownership "
-                    "thresholds, and stress-test the watermark.")
+                    "thresholds, and stress-test the watermark. Each setting is "
+                    "the flag if given, else the --config key, else its default.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True, jobs=False):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        if out:
-            p.add_argument("--out", default=".", help="artifact directory")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="worker pool size")
+    def command(name, fn, help_text, flags):
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            key = flag.rstrip("!")
+            p.add_argument(f"--{key}", required=flag.endswith("!"), **FLAGS[key])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("datagen", help="generate an SBM graph or import an edge list")
-    common(p)
-    p.add_argument("--edges", help="existing edge-list file to import")
-    p.add_argument("--features", help="optional feature file")
-    p.add_argument("--feature-dim", type=int, default=32)
-    p.set_defaults(fn=cmd_datagen)
+    p = command("datagen", cmd_datagen, "generate an SBM graph or import an edge list",
+                "config seed out edges features")
+    p.add_argument("--feature-dim", type=int, help="feature columns")
 
-    p = sub.add_parser("split", help="split links and sample negatives")
-    common(p)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--features")
-    p.set_defaults(fn=cmd_split)
+    command("split", cmd_split, "split links and sample negatives",
+            "config seed out edges! features")
+    command("wm-gen", cmd_wm_gen, "generate a trigger set", "config seed out edges! features")
 
-    p = sub.add_parser("wm-gen", help="generate a trigger set")
-    common(p)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--features")
-    p.set_defaults(fn=cmd_wm_gen)
-
-    p = sub.add_parser("train", help="train a model, optionally embedding a watermark")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--wm")
+    p = command("train", cmd_train, "train a model, optionally embedding a watermark",
+                "config seed out dataset! wm")
     p.add_argument("--method", choices=["clean", "genie", "finetune", "poison",
                                         "uniform", "mgda"])
-    p.add_argument("--epochs", type=int, default=None)
-    p.set_defaults(fn=cmd_train)
+    p.add_argument("--epochs", type=int, help="training epochs")
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--wm")
-    p.set_defaults(fn=cmd_eval)
+    command("eval", cmd_eval, "evaluate a checkpoint", "config out dataset! checkpoint! wm")
+    command("threshold", cmd_threshold, "train clean/watermarked cohorts and set the threshold",
+            "config seed out jobs dataset edges features models gamma n clean-csv wm-csv")
 
-    p = sub.add_parser("threshold", help="train clean/watermarked cohorts and set the threshold")
-    common(p, jobs=True)
-    p.add_argument("--dataset")
-    p.add_argument("--edges")
-    p.add_argument("--features")
-    p.add_argument("--models", type=int, default=10)
-    p.add_argument("--gamma", type=float, default=0.95)
-    p.add_argument("--n", type=int, default=1_000_000)
-    p.add_argument("--clean-csv", help="precomputed clean AUC samples (one per line)")
-    p.add_argument("--wm-csv", help="precomputed watermarked AUC samples")
-    p.set_defaults(fn=cmd_threshold)
-
-    p = sub.add_parser("attack", help="run one removal attack and report the verdict")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--wm", required=True)
+    p = command("attack", cmd_attack, "run one removal attack and report the verdict",
+                "config seed out dataset! checkpoint! wm!")
     p.add_argument("--kind", required=True, help=", ".join(ATTACK_KINDS))
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--fraction", type=float, default=0.2)
     p.add_argument("--bits", type=int, default=3)
-    p.add_argument("--epochs", type=int, default=50)
+    p.add_argument("--epochs", dest="finetune_epochs", type=int, default=50,
+                   help="fine-tuning epochs; surrogates train for the config's epochs")
     p.add_argument("--mix", type=float, default=0.5)
     p.add_argument("--surrogate-arch", choices=["gcn", "sage"])
-    p.set_defaults(fn=cmd_attack)
 
-    p = sub.add_parser("register", help="judge-side trigger generation plus board entry")
-    common(p)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--features")
-    p.add_argument("--board", required=True)
+    p = command("register", cmd_register, "judge-side trigger generation plus board entry",
+                "config seed out edges! features board!")
     p.add_argument("--who", required=True)
-    p.set_defaults(fn=cmd_register)
 
-    p = sub.add_parser("dispute", help="resolve an ownership dispute")
-    common(p)
-    p.add_argument("--board", required=True)
-    p.add_argument("--wm", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--clean-csv", required=True)
-    p.add_argument("--wm-csv", required=True)
-    p.add_argument("--gamma", type=float, default=0.95)
-    p.add_argument("--n", type=int, default=1_000_000)
+    p = command("dispute", cmd_dispute, "resolve an ownership dispute",
+                "config seed out board! wm! checkpoint! clean-csv! wm-csv! gamma n")
     p.add_argument("--claimed-hash")
-    p.set_defaults(fn=cmd_dispute)
 
-    p = sub.add_parser("serve", help="line-protocol prediction endpoint on stdin/stdout")
-    common(p, out=False)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--wm")
-    p.add_argument("--edges")
-    p.add_argument("--features")
+    p = command("serve", cmd_serve, "line-protocol prediction endpoint on stdin/stdout",
+                "checkpoint! wm edges features")
     p.add_argument("--defense", action="store_true")
-    p.set_defaults(fn=cmd_serve)
 
-    p = sub.add_parser("report", help="render collected eval reports as CSV tables")
-    common(p)
+    p = command("report", cmd_report, "render collected eval reports as the "
+                                      "mainResults CSV table", "out")
     p.add_argument("--runs", required=True, help="directory tree of eval outputs")
-    p.add_argument("--table", default="mainResults")
-    p.set_defaults(fn=cmd_report)
 
-    p = sub.add_parser("reproduce-table1",
-                       help="train clean/watermarked cohorts and print the "
-                            "normality and bootstrap statistics")
-    common(p, jobs=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--features")
-    p.add_argument("--models", type=int, default=10)
-    p.set_defaults(fn=cmd_reproduce_table1)
-
+    command("reproduce-table1", cmd_reproduce_table1,
+            "train clean/watermarked cohorts and print the normality and "
+            "bootstrap statistics", "config seed out jobs dataset! edges! features models")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if "out" in args:
+            args.out = Path(args.out)
+            args.out.mkdir(parents=True, exist_ok=True)
+        return args.fn(args, _settings(args))
     except FileNotFoundError as exc:
         return _fail("missing_file", str(exc))
     except (ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -155,7 +155,7 @@ EMBED_METHODS = {
 
 def embed_with_method(method: str, model: LinkPredictor, train_batch, wm_batch,
                       cfg: TrainConfig) -> LinkPredictor:
-    """Dispatch on the config's method token. "clean" ignores the trigger
+    """Dispatch on the method name. "clean" ignores the trigger
     set; "finetune" first trains a clean model for cfg.epochs, then
     fine-tunes on the trigger set for 50 epochs."""
     if method not in EMBED_METHODS:

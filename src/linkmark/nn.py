@@ -47,26 +47,12 @@ class TrainConfig:
     hidden_dim: int = 256
     seed: int = 0
     arch: str = GCN
-    method: str = "genie"
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.arch not in _ARCH_CODES:
             raise ValueError(f"unknown arch {self.arch!r}")
-
-    def to_json_dict(self) -> dict:
-        return {"arch": self.arch, "hidden": self.hidden_dim, "epochs": self.epochs,
-                "lr": self.learning_rate, "seed": self.seed, "method": self.method}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "TrainConfig":
-        return cls(epochs=int(doc.get("epochs", 400)),
-                   learning_rate=float(doc.get("lr", 1e-3)),
-                   hidden_dim=int(doc.get("hidden", 256)),
-                   seed=int(doc.get("seed", 0)),
-                   arch=str(doc.get("arch", GCN)),
-                   method=str(doc.get("method", "genie")))
 
 
 def param_names(arch: str) -> list:

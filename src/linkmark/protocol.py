@@ -42,9 +42,6 @@ class Verdict:
     wm_hash: str = ""
     checkpoint_hash: str = ""
 
-    def to_json_dict(self) -> dict:
-        return self.__dict__.copy()
-
 
 @dataclass(frozen=True)
 class WmParams:
@@ -58,13 +55,6 @@ class WmParams:
     def __post_init__(self):
         if self.pathway not in ("node_rep", "subgraph"):
             raise ValueError(f"unknown pathway {self.pathway!r}")
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "WmParams":
-        return cls(pathway=doc.get("pathway", "node_rep"),
-                   rate=float(doc.get("rate", 0.1)),
-                   hops=int(doc.get("hops", 1)),
-                   split_ratios=tuple(doc.get("ratios", (0.8, 0.1, 0.1))))
 
 
 def read_board(board_path) -> list:

@@ -188,12 +188,6 @@ class ThresholdReport:
     h_clean: float
     h_wm: float
 
-    def to_json_dict(self) -> dict:
-        return {"threshold": self.threshold, "n": self.n, "m": self.m,
-                "gamma": self.gamma, "observed_fpr": self.observed_fpr,
-                "observed_fnr": self.observed_fnr, "certificate": self.certificate,
-                "h_clean": self.h_clean, "h_wm": self.h_wm}
-
 
 def dwt_threshold(clean, watermarked, n: int, gamma: float, seed: int = 0) -> ThresholdReport:
     """Pick a decision threshold between the clean and watermarked AUC

@@ -6,8 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from linkmark import cli
 from linkmark.attacks import ATTACK_KINDS
-from linkmark.cli import build_parser, main
+from linkmark.cli import _settings, _train_config, _wm_params, build_parser, main
+from linkmark.nn import TrainConfig
+from linkmark.protocol import WmParams
 from linkmark.watermark import NodeRepWatermark, load_wm, save_wm
 
 from conftest import BAD_CHECKPOINTS
@@ -60,6 +63,98 @@ class TestParser:
     def test_missing_subcommand_fails(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--checkpoint", "c", "--seed", "1"],
+        ["serve", "--checkpoint", "c", "--config", "c.json"],
+        ["eval", "--dataset", "d", "--checkpoint", "c", "--seed", "1"],
+        ["report", "--runs", "r", "--table", "mainResults"],
+        ["report", "--runs", "r", "--config", "c.json"],
+    ])
+    def test_options_a_command_would_ignore_are_refused(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+
+def settings_for(tmp_path, argv, doc):
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(doc))
+    return _settings(build_parser().parse_args(argv + ["--config", str(path)]))
+
+
+class TestSettings:
+    def test_empty_config_gives_defaults(self, tmp_path):
+        s = settings_for(tmp_path, ["train", "--dataset", "d"], {})
+        cfg = _train_config(s)
+        assert cfg == TrainConfig()
+        assert (cfg.epochs, cfg.learning_rate, cfg.hidden_dim, cfg.arch) == (400, 1e-3, 256, "gcn")
+        assert (s["seed"], s["method"]) == (0, "genie")
+        assert _wm_params(s) == WmParams()
+
+    def test_full_config_gives_train_config(self, tmp_path):
+        doc = {"arch": "sage", "hidden": 48, "epochs": 120, "lr": 2e-3, "seed": 9,
+               "method": "mgda"}
+        s = settings_for(tmp_path, ["train", "--dataset", "d"], doc)
+        assert _train_config(s) == TrainConfig(epochs=120, learning_rate=2e-3,
+                                               hidden_dim=48, seed=9, arch="sage")
+        assert s["method"] == "mgda"
+
+    def test_full_config_gives_wm_params(self, tmp_path):
+        doc = {"pathway": "subgraph", "rate": 0.2, "hops": 2, "ratios": [0.6, 0.2, 0.2]}
+        s = settings_for(tmp_path, ["wm-gen", "--edges", "e"], doc)
+        assert _wm_params(s) == WmParams("subgraph", 0.2, 2, (0.6, 0.2, 0.2))
+
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, epochs="many")
+        rc = main(["train", "--out", str(tmp_path), "--dataset", "d", "--config", str(cfg)])
+        assert rc == 1
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["error"] == "invalid_input" and "'epochs'" in doc["message"]
+
+    def test_datagen_feature_dim_flag_beats_config_beats_default(self, tmp_path):
+        cfg = str(write_config(tmp_path))  # feature_dim 16
+
+        def dim(name, *extra):
+            out = tmp_path / name
+            assert main(["datagen", "--out", str(out), "--seed", "1", *extra]) == 0
+            manifest = json.loads((out / "datagen_manifest.json").read_text())
+            first_row = (out / "graph.features").read_text().splitlines()[0]
+            assert manifest["params"]["feature_dim"] == len(first_row.split()) - 1
+            return manifest["params"]["feature_dim"]
+
+        assert dim("flag", "--config", cfg, "--feature-dim", "8") == 8
+        assert dim("config", "--config", cfg) == 16
+        assert dim("default") == 32
+
+    def test_datagen_manifest_records_the_seed_that_ran(self, tmp_path):
+        cfg = str(write_config(tmp_path, seed=7))
+        assert main(["datagen", "--out", str(tmp_path / "a"), "--seed", "42",
+                     "--config", cfg]) == 0
+        manifest = json.loads((tmp_path / "a" / "datagen_manifest.json").read_text())
+        assert manifest["seed"] == manifest["params"]["seed"] == 42
+        assert main(["datagen", "--out", str(tmp_path / "b"), "--seed",
+                     str(manifest["seed"]), "--config", cfg]) == 0
+        redone = json.loads((tmp_path / "b" / "datagen_manifest.json").read_text())
+        assert redone["artifacts"] == manifest["artifacts"]
+
+    def test_threshold_flags_beat_config_beat_defaults(self, pipeline, tmp_path):
+        out, _ = pipeline
+        cfg = str(write_config(tmp_path, epochs=40, gamma=0.9, n=2000, models=5))
+        base = ["threshold", "--dataset", str(out / "dataset.npz"), "--edges",
+                str(out / "graph.edges"), "--features", str(out / "graph.features"),
+                "--config", cfg]
+
+        def run(name, *extra):
+            assert main(base + ["--out", str(tmp_path / name), *extra]) == 0
+            report = json.loads((tmp_path / name / "threshold.json").read_text())
+            models = len((tmp_path / name / "clean_aucs.csv").read_text().splitlines())
+            return report["gamma"], report["n"], models
+
+        assert run("flag", "--gamma", "0.8", "--n", "1000", "--models", "4") == (0.8, 1000, 4)
+        assert run("config") == (0.9, 2000, 5)
+        s = _settings(build_parser().parse_args(["threshold"]))
+        assert (s["gamma"], s["n"], s["models"]) == (0.95, 1_000_000, 10)
 
 
 class TestPipeline:
@@ -118,6 +213,7 @@ class TestPipeline:
         assert "trained gcn/clean " in capsys.readouterr().out
         manifest = json.loads((tmp_path / "train_manifest.json").read_text())
         assert manifest["params"]["method"] == "clean"
+        assert list(manifest["params"]) == ["arch", "hidden", "epochs", "lr", "seed", "method"]
 
     def test_train_then_eval_missing_file_errors(self, tmp_path, capsys):
         rc = main(["eval", "--out", str(tmp_path), "--dataset",
@@ -155,6 +251,40 @@ class TestThresholdAndDispute:
         doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert doc["error"] == "invalid_input" and "finite" in doc["message"]
         assert not (tmp_path / "threshold.json").exists()
+
+    @pytest.mark.parametrize("given,graph,missing", [("clean", True, "--wm-csv"),
+                                                     ("wm", True, "--clean-csv"),
+                                                     ("clean", False, "--wm-csv")])
+    def test_threshold_rejects_a_lone_sample_csv(self, pipeline, tmp_path, capsys,
+                                                 given, graph, missing):
+        out, _ = pipeline
+        samples = tmp_path / "samples.csv"
+        samples.write_text("0.1\n0.2\n0.3\n0.4\n")
+        cfg = write_config(tmp_path, epochs=1, hidden=4, models=4)
+        argv = ["threshold", "--out", str(tmp_path), "--config", str(cfg),
+                f"--{given}-csv", str(samples)]
+        if graph:
+            argv += ["--dataset", str(out / "dataset.npz"), "--edges", str(out / "graph.edges")]
+        assert main(argv) == 1
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["error"] == "missing_input" and missing in doc["message"]
+        assert not (tmp_path / "clean_aucs.csv").exists()
+        assert not (tmp_path / "threshold.json").exists()
+
+    def test_dispute_reads_gamma_and_n_from_config(self, pipeline, tmp_path):
+        out, _ = pipeline
+        clean = tmp_path / "clean.csv"
+        wm_csv = tmp_path / "wm.csv"
+        clean.write_text("".join(f"{v}\n" for v in (0.2, 0.3, 0.35, 0.4)))
+        wm_csv.write_text("".join(f"{v}\n" for v in (0.9, 0.92, 0.95, 0.97)))
+        (tmp_path / "board.jsonl").write_text("")
+        cfg = write_config(tmp_path, gamma=0.9, n=10000, seed=3)
+        rc = main(["dispute", "--out", str(tmp_path), "--board", str(tmp_path / "board.jsonl"),
+                   "--wm", str(out / "trigger.gwm"), "--checkpoint", str(out / "model.ckpt"),
+                   "--clean-csv", str(clean), "--wm-csv", str(wm_csv), "--config", str(cfg)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "dispute_manifest.json").read_text())
+        assert manifest["params"] == {"seed": 3, "gamma": 0.9, "n": 10000}
 
     def test_dispute_no_record(self, pipeline, tmp_path):
         out, _ = pipeline
@@ -220,6 +350,24 @@ class TestAttackCommand:
         report = json.loads((tmp_path / f"attack_{kind}.json").read_text())
         assert report["kind"] == kind
         assert 0.0 <= report["auc_wm_post"] <= 1.0
+
+    def test_epochs_flag_leaves_surrogate_epochs(self, pipeline, tmp_path, monkeypatch):
+        out, _ = pipeline
+        seen = {}
+        real = cli.run_attack
+
+        def spy(kind, model, batch, cfg, **kw):
+            seen.update(surrogate=cfg.epochs, finetune=kw["epochs"])
+            return real(kind, model, batch, cfg, **kw)
+
+        monkeypatch.setattr(cli, "run_attack", spy)
+        cfg = write_config(tmp_path, epochs=3, hidden=8)
+        rc = main(["attack", "--out", str(tmp_path), "--seed", "5", "--config", str(cfg),
+                   "--dataset", str(out / "dataset.npz"), "--checkpoint",
+                   str(out / "model.ckpt"), "--wm", str(out / "trigger.gwm"),
+                   "--kind", "extract_soft", "--epochs", "2", "--threshold", "0.6"])
+        assert rc == 0
+        assert seen == {"surrogate": 3, "finetune": 2}
 
     def test_unknown_kind_fails(self, pipeline, tmp_path, capsys):
         out, _ = pipeline
@@ -405,6 +553,15 @@ def test_attack_matrix_script_subset(pipeline, tmp_path):
         "finetune_FTLL", "prune_0.2", "prune_0.4", "prune_0.6", "prune_0.8", "quantize_3"]
     for line in lines[1:]:
         assert line.split(",")[-1] in ("watermark_success", "watermark_failure")
+
+
+def test_cohort_stats_script_small(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "cohort_stats.py"), "--out", str(tmp_path),
+         "--models", "4", "--epochs", "5", "--jobs", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert len((tmp_path / "table1.csv").read_text().strip().splitlines()) == 3
 
 
 def test_reproduce_table1_small(pipeline, tmp_path):

@@ -396,21 +396,6 @@ def test_positive_scores_are_log_softmax_component_one():
 
 
 class TestTrainConfig:
-    def test_json_wire_keys(self):
-        cfg = lm.TrainConfig(epochs=120, learning_rate=2e-3, hidden_dim=48,
-                             seed=9, arch="sage", method="mgda")
-        doc = cfg.to_json_dict()
-        assert set(doc) == {"arch", "hidden", "epochs", "lr", "seed", "method"}
-        back = lm.TrainConfig.from_json_dict(doc)
-        assert back == cfg
-
-    def test_defaults(self):
-        cfg = lm.TrainConfig.from_json_dict({})
-        assert cfg.epochs == 400
-        assert cfg.learning_rate == 1e-3
-        assert cfg.hidden_dim == 256
-        assert cfg.arch == "gcn"
-
     def test_validation(self):
         with pytest.raises(ValueError):
             lm.TrainConfig(epochs=-1)

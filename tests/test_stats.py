@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -312,7 +314,7 @@ class TestDwtThreshold:
 
     def test_report_roundtrips_to_json(self):
         report = dwt_threshold(CLEAN_FIXTURE, WM_FIXTURE, n=1000, gamma=0.95, seed=20)
-        doc = report.to_json_dict()
+        doc = json.loads(json.dumps(asdict(report)))
         assert doc["certificate"] == report.certificate
         assert doc["threshold"] == report.threshold
         assert doc["h_clean"] > 0 and doc["h_wm"] > 0
