@@ -4,7 +4,9 @@ Each setting a command reads is resolved once: the explicit flag, else the
 key of the ``--config`` JSON file, else ``DEFAULTS``; no other module knows
 the config format. Every command but ``serve`` writes its artifacts under
 ``--out`` with a ``<command>_manifest.json`` of the settings that ran and the
-artifact hashes, and a failing command exits 1 with a JSON error on stderr.
+SHA-256 of its input files and artifacts; a path never enters the settings
+or their ``config_sha256``. A failing command exits 1 with a JSON error on
+stderr.
 All randomness flows from the resolved ``seed`` through named streams. The
 fan-out commands ``threshold`` and ``reproduce-table1`` take ``--jobs``.
 """
@@ -23,7 +25,7 @@ from .attacks import ATTACK_KINDS, attacker_split, make_report, run_attack
 from .graph import (SPLITS, build_subgraph_dataset, generate_sbm, init_features,
                     load_dataset, load_edge_list, load_features, save_dataset,
                     save_edge_list, split_links)
-from .nn import LinkPredictor, PairBatch, SubgraphBatch, TrainConfig, evaluate_auc
+from .nn import ARCHS, LinkPredictor, PairBatch, SubgraphBatch, TrainConfig, evaluate_auc
 from .protocol import ServeSession, WmParams, dispute, generate_watermark, register
 from .stats import dwt_threshold, finite_samples, shapiro_wilk, smoothed_bootstrap_test
 from .util import derive_seed, sha256_file, sha256_hex
@@ -85,12 +87,16 @@ def _wm_params(s: dict) -> WmParams:
     return WmParams(s["pathway"], s["rate"], s["hops"], s["ratios"])
 
 
-def _emit(out: Path, command: str, params: dict, artifacts: list, report=None,
-          line=None) -> int:
+# input-file flags a manifest records by content hash, never by path
+INPUT_FILES = ("edges", "features", "dataset", "checkpoint", "wm", "clean_csv", "wm_csv")
+
+
+def _emit(args, params: dict, artifacts: list, report=None, line=None) -> int:
     """Finish a command: write `report`, a (file name, JSON document) pair,
-    into `out`; write the manifest over the files named in `artifacts` and
-    the report; print `line`, by default the report on one line."""
-    names = list(artifacts)
+    into --out; write the manifest over the files named in `artifacts` and
+    the report, and over the input files given; print `line`, by default the
+    report on one line."""
+    out, names = args.out, list(artifacts)
     if report is not None:
         name, doc = report
         with open(out / name, "w") as fh:
@@ -99,13 +105,15 @@ def _emit(out: Path, command: str, params: dict, artifacts: list, report=None,
             names.append(name)
         line = json.dumps(doc) if line is None else line
     manifest = {
-        "command": command,
+        "command": args.command,
         "params": params,
         "seed": params.get("seed"),
         "config_sha256": sha256_hex(json.dumps(params, sort_keys=True).encode()),
+        "inputs": {key: sha256_file(getattr(args, key)) for key in INPUT_FILES
+                   if getattr(args, key, None)},
         "artifacts": {name: sha256_file(out / name) for name in names},
     }
-    with open(out / f"{command}_manifest.json", "w") as fh:
+    with open(out / f"{args.command}_manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
     print(line)
     return EXIT_OK
@@ -118,17 +126,13 @@ def _load_graph(edges_path, features_path=None):
     return g
 
 
-def _split_batches(ds, params: WmParams):
-    """Per-split batches: scored pairs for node-representation models, or
+def _split_batch(ds, params: WmParams, split: str):
+    """One split's batch: scored pairs for node-representation models, or
     labeled k-hop subgraphs for subgraph classifiers."""
-    out = {}
-    for split in SPLITS:
-        pairs, labels = ds.split_arrays(split)
-        if params.pathway == "subgraph":
-            out[split] = SubgraphBatch(build_subgraph_dataset(ds, params.hops, split), labels)
-        else:
-            out[split] = PairBatch(ds.mp_adjacency, ds.features, pairs, labels)
-    return out
+    pairs, labels = ds.split_arrays(split)
+    if params.pathway == "subgraph":
+        return SubgraphBatch(build_subgraph_dataset(ds, params.hops, split), labels)
+    return PairBatch(ds.mp_adjacency, ds.features, pairs, labels)
 
 
 def write_samples_csv(values, path) -> None:
@@ -155,9 +159,9 @@ def cmd_datagen(args, s) -> int:
             row = " ".join(repr(float(x)) for x in g.features[i])
             fh.write(f"{i} {row}\n")
     params = {"seed": s["seed"], "feature_dim": s["feature_dim"],
-              "source": args.edges or "sbm",
+              "source": "edges" if args.edges else "sbm",
               **{key: s.get(key, value) for key, value in s["config"].items()}}
-    return _emit(args.out, "datagen", params, ["graph.edges", "graph.features"],
+    return _emit(args, params, ["graph.edges", "graph.features"],
                  line=f"graph: {g.num_nodes} nodes, {g.num_edges} edges -> "
                       f"{args.out / 'graph.edges'}")
 
@@ -167,8 +171,7 @@ def cmd_split(args, s) -> int:
                      derive_seed(s["seed"], "split"))
     save_dataset(ds, args.out / "dataset.npz")
     counts = {split: len(ds.split_arrays(split)[1]) for split in SPLITS}
-    params = {"seed": s["seed"], "ratios": list(s["ratios"]), "edges": str(args.edges)}
-    return _emit(args.out, "split", params, ["dataset.npz"],
+    return _emit(args, {"seed": s["seed"], "ratios": list(s["ratios"])}, ["dataset.npz"],
                  line=f"split sizes: {counts} -> {args.out / 'dataset.npz'}")
 
 
@@ -177,8 +180,7 @@ def cmd_wm_gen(args, s) -> int:
     g = _load_graph(args.edges, args.features)
     save_wm(generate_watermark(g, params, derive_seed(s["seed"], "wm")),
             args.out / "trigger.gwm")
-    return _emit(args.out, "wm-gen",
-                 {"seed": s["seed"], "pathway": params.pathway, "rate": params.rate},
+    return _emit(args, {"seed": s["seed"], "pathway": params.pathway, "rate": params.rate},
                  ["trigger.gwm"], line=f"trigger set: {params.pathway}, rate "
                                        f"{params.rate} -> {args.out / 'trigger.gwm'}")
 
@@ -187,30 +189,30 @@ def cmd_train(args, s) -> int:
     cfg = _train_config(s)
     method = s["method"] if args.wm else "clean"
     ds = load_dataset(args.dataset)
-    batches = _split_batches(ds, _wm_params(s))
+    train = _split_batch(ds, _wm_params(s), "train")
     wm_batch = load_wm(args.wm).batch() if args.wm else None
     model = LinkPredictor.init(cfg.arch, ds.features.shape[1], cfg.hidden_dim,
                                derive_seed(cfg.seed, "init"))
-    embed.embed_with_method(method, model, batches["train"], wm_batch, cfg)
+    embed.embed_with_method(method, model, train, wm_batch, cfg)
     model.save(args.out / "model.ckpt")
     params = {**{key: s[key] for key in ("arch", "hidden", "epochs", "lr", "seed")},
               "method": method}
-    return _emit(args.out, "train", params, ["model.ckpt"],
+    return _emit(args, params, ["model.ckpt"],
                  line=f"trained {cfg.arch}/{method} for {cfg.epochs} epochs -> "
                       f"{args.out / 'model.ckpt'}")
 
 
 def cmd_eval(args, s) -> int:
-    batches = _split_batches(load_dataset(args.dataset), _wm_params(s))
+    ds, params = load_dataset(args.dataset), _wm_params(s)
+    test, valid = (_split_batch(ds, params, split) for split in ("test", "valid"))
     model = LinkPredictor.load(args.checkpoint)
     report = {
-        "auc_test": evaluate_auc(model, batches["test"]),
-        "auc_valid": evaluate_auc(model, batches["valid"]) if len(batches["valid"]) else None,
+        "auc_test": evaluate_auc(model, test),
+        "auc_valid": evaluate_auc(model, valid) if len(valid) else None,
     }
     if args.wm:
         report["auc_wm"] = watermark_auc(model, load_wm(args.wm))
-    return _emit(args.out, "eval", {"checkpoint": str(args.checkpoint), "seed": None},
-                 [], ("eval.json", report))
+    return _emit(args, {"seed": None}, [], ("eval.json", report))
 
 
 def _threshold_task(task: dict) -> dict:
@@ -219,14 +221,13 @@ def _threshold_task(task: dict) -> dict:
     s, seed = task["settings"], task["seed"]
     params = _wm_params(s)
     ds = load_dataset(task["dataset"])
-    batches = _split_batches(ds, params)
     cfg = _train_config({**s, "seed": seed})
     wm = generate_watermark(_load_graph(task["edges"], task["features"]),
                             params, derive_seed(seed, "wm"))
     model = LinkPredictor.init(cfg.arch, ds.features.shape[1], cfg.hidden_dim,
                                derive_seed(seed, "init"))
     method = "clean" if task["kind"] == "clean" else s["method"]
-    embed.embed_with_method(method, model, batches["train"], wm.batch(), cfg)
+    embed.embed_with_method(method, model, _split_batch(ds, params, "train"), wm.batch(), cfg)
     return {"kind": task["kind"], "seed": seed, "auc_wm": watermark_auc(model, wm)}
 
 
@@ -260,7 +261,7 @@ def cmd_threshold(args, s) -> int:
         write_samples_csv(wm, args.out / "wm_aucs.csv")
     report = dwt_threshold(clean, wm, n=s["n"], gamma=s["gamma"],
                            seed=derive_seed(s["seed"], "dwt"))
-    return _emit(args.out, "threshold", {"seed": s["seed"], "gamma": s["gamma"], "n": s["n"]},
+    return _emit(args, {"seed": s["seed"], "gamma": s["gamma"], "n": s["n"]},
                  [], ("threshold.json", asdict(report)))
 
 
@@ -277,7 +278,7 @@ def cmd_attack(args, s) -> int:
                           surrogate_arch=args.surrogate_arch)
     report = make_report(args.kind, model, attacked, eval_batch, wm, args.threshold)
     params = {"seed": s["seed"], "kind": args.kind, "threshold": args.threshold}
-    return _emit(args.out, "attack", params, [], (f"attack_{args.kind}.json", asdict(report)))
+    return _emit(args, params, [], (f"attack_{args.kind}.json", asdict(report)))
 
 
 def cmd_register(args, s) -> int:
@@ -285,7 +286,7 @@ def cmd_register(args, s) -> int:
     wm, record = register(g, _wm_params(s), args.board, args.who,
                           derive_seed(s["seed"], "wm"))
     save_wm(wm, args.out / "trigger.gwm")
-    return _emit(args.out, "register", {"seed": s["seed"], "who": args.who},
+    return _emit(args, {"seed": s["seed"], "who": args.who},
                  ["trigger.gwm"], ("receipt.json", record.to_json_dict()))
 
 
@@ -294,7 +295,7 @@ def cmd_dispute(args, s) -> int:
                       read_samples_csv(args.clean_csv), read_samples_csv(args.wm_csv),
                       gamma=s["gamma"], n=s["n"], seed=derive_seed(s["seed"], "dispute"),
                       claimed_hash=args.claimed_hash, checkpoint_path=args.checkpoint)
-    return _emit(args.out, "dispute", {"seed": s["seed"], "gamma": s["gamma"], "n": s["n"]},
+    return _emit(args, {"seed": s["seed"], "gamma": s["gamma"], "n": s["n"]},
                  [], ("verdict.json", asdict(verdict)))
 
 
@@ -324,7 +325,7 @@ def cmd_report(args, s) -> int:
         fh.write("auc_test_clean,auc_test_wm,auc_wm_wm\n")
         for clean_row, wm_row in zip(kinds["clean"], kinds["wm"]):
             fh.write(f"{clean_row['auc_test']},{wm_row['auc_test']},{wm_row['auc_wm']}\n")
-    return _emit(args.out, "report", {"table": "mainResults", "seed": None},
+    return _emit(args, {"table": "mainResults", "seed": None},
                  ["mainResults.csv"], line=f"wrote {path}")
 
 
@@ -345,7 +346,7 @@ def cmd_reproduce_table1(args, s) -> int:
                                            "bootstrap_p", "reject_null")})
     if doc["reject_null"]:
         line += "\nnull hypothesis of equal means REJECTED (p < 0.05)"
-    return _emit(args.out, "reproduce-table1", {"seed": s["seed"], "models": s["models"]},
+    return _emit(args, {"seed": s["seed"], "models": s["models"]},
                  ["table1.json", "table1.csv"], ("table1.json", doc), line)
 
 
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", dest="finetune_epochs", type=int, default=50,
                    help="fine-tuning epochs; surrogates train for the config's epochs")
     p.add_argument("--mix", type=float, default=0.5)
-    p.add_argument("--surrogate-arch", choices=["gcn", "sage"])
+    p.add_argument("--surrogate-arch", choices=list(ARCHS))
 
     p = command("register", cmd_register, "judge-side trigger generation plus board entry",
                 "config seed out edges! features board!")

@@ -20,16 +20,6 @@ def _flatten(grads: dict, order) -> np.ndarray:
     return np.concatenate([grads[name].ravel() for name in order])
 
 
-def _unflatten(vec: np.ndarray, template: dict, order) -> dict:
-    out = {}
-    pos = 0
-    for name in order:
-        size = template[name].size
-        out[name] = vec[pos:pos + size].reshape(template[name].shape)
-        pos += size
-    return out
-
-
 def fit(model: LinkPredictor, steps, epochs: int, learning_rate: float,
         trainable: set | None = None, after_epoch=None) -> LinkPredictor:
     """The one training loop. Each epoch runs `steps` in order; a step is a
@@ -132,10 +122,8 @@ def embed_mgda_baseline(model: LinkPredictor, train_batch, wm_batch,
     order = sorted(model.params)
 
     def min_norm(grads_t, grads_w):
-        g1 = _flatten(grads_t, order)
-        g2 = _flatten(grads_w, order)
-        a1 = min_norm_coefficient(g1, g2)
-        return _unflatten(a1 * g1 + (1.0 - a1) * g2, model.params, order)
+        a1 = min_norm_coefficient(_flatten(grads_t, order), _flatten(grads_w, order))
+        return {n: a1 * grads_t[n] + (1.0 - a1) * grads_w[n] for n in order}
     return _fit_combined(model, train_batch, wm_batch, cfg, "mgda", min_norm)
 
 

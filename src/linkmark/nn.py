@@ -10,6 +10,11 @@ the elementwise product of the two endpoint embeddings to 2 logits. Subgraph
 inputs are encoded in block-diagonal segments, mean-pooled, and decoded. Gradients
 are computed analytically; the optimizer is Adam with bias correction.
 
+Every dense layer, encoder or decoder, runs through `_forward`/`_backward`:
+weight terms on the layer input or on its propagated input, plus a bias.
+`ARCHS` is the one place an arch is defined: parameter names and shapes, the
+checkpoint arch byte and every arch check come from it.
+
 Checkpoint layout (all little-endian): magic b"GLPW1", one arch byte
 (0 = gcn, 1 = sage), u32 input dim, u32 hidden dim, then the raw f64 buffer
 of every parameter tensor in `param_names()` order. Shapes are implied by
@@ -19,6 +24,7 @@ of every parameter tensor in `param_names()` order. Shapes are implied by
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,8 +34,9 @@ from .util import Cursor
 
 GCN = "gcn"
 SAGE = "sage"
-_ARCH_CODES = {GCN: 0, SAGE: 1}
-_CODE_ARCH = {v: k for k, v in _ARCH_CODES.items()}
+# an encoder layer's weight terms by arch, as (name, multiplies the propagated
+# input); an arch's position here is its checkpoint byte
+ARCHS = {GCN: (("w", True),), SAGE: (("self", False), ("nb", True))}
 CHECKPOINT_MAGIC = b"GLPW1"
 
 ADAM_BETA1 = 0.9
@@ -51,37 +58,31 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.arch not in _ARCH_CODES:
-            raise ValueError(f"unknown arch {self.arch!r}")
+        _layers(self.arch, "enc")
+
+
+@lru_cache(maxsize=None)
+def _layers(arch: str, kind: str) -> tuple:
+    """Each `kind` layer of `arch` as (bias name, weight terms); "dec" has one `w`."""
+    if arch not in ARCHS:
+        raise ValueError(f"unknown arch {arch!r}")
+    terms = ARCHS[arch] if kind == "enc" else (("w", False),)
+    return tuple((f"{kind}{i}_b", tuple((f"{kind}{i}_{t}", on) for t, on in terms))
+                 for i in (1, 2, 3))
+
+
+def _param_shapes(arch: str, in_dim: int, hidden: int) -> dict:
+    dims = [(in_dim, hidden)] + [(hidden, hidden)] * 4 + [(hidden, 2)]
+    shapes = {}
+    for (b, terms), (fi, fo) in zip(_layers(arch, "enc") + _layers(arch, "dec"), dims):
+        shapes.update({w: (fi, fo) for w, _ in terms})
+        shapes[b] = (fo,)
+    return shapes
 
 
 def param_names(arch: str) -> list:
     """Canonical parameter order; checkpoints and pruning rely on it."""
-    if arch == GCN:
-        enc = [f"enc{i}_{t}" for i in (1, 2, 3) for t in ("w", "b")]
-    elif arch == SAGE:
-        enc = [f"enc{i}_{t}" for i in (1, 2, 3) for t in ("self", "nb", "b")]
-    else:
-        raise ValueError(f"unknown arch {arch!r}")
-    dec = [f"dec{i}_{t}" for i in (1, 2, 3) for t in ("w", "b")]
-    return enc + dec
-
-
-def _param_shapes(arch: str, in_dim: int, hidden: int) -> dict:
-    dims = [(in_dim, hidden), (hidden, hidden), (hidden, hidden)]
-    shapes = {}
-    for i, (fi, fo) in enumerate(dims, start=1):
-        if arch == GCN:
-            shapes[f"enc{i}_w"] = (fi, fo)
-        else:
-            shapes[f"enc{i}_self"] = (fi, fo)
-            shapes[f"enc{i}_nb"] = (fi, fo)
-        shapes[f"enc{i}_b"] = (fo,)
-    dec_dims = [(hidden, hidden), (hidden, hidden), (hidden, 2)]
-    for i, (fi, fo) in enumerate(dec_dims, start=1):
-        shapes[f"dec{i}_w"] = (fi, fo)
-        shapes[f"dec{i}_b"] = (fo,)
-    return shapes
+    return list(_param_shapes(arch, 0, 0))
 
 
 def _glorot(rng: np.random.Generator, shape) -> np.ndarray:
@@ -98,8 +99,7 @@ class LinkPredictor:
     """Encoder plus pair/subgraph decoder with an explicit parameter dict."""
 
     def __init__(self, arch: str, in_dim: int, hidden_dim: int, params: dict):
-        if arch not in _ARCH_CODES:
-            raise ValueError(f"unknown arch {arch!r}")
+        _layers(arch, "enc")
         self.arch = arch
         self.in_dim = in_dim
         self.hidden_dim = hidden_dim
@@ -132,8 +132,8 @@ class LinkPredictor:
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<BII", _ARCH_CODES[self.arch], self.in_dim, self.hidden_dim))
+            fh.write(CHECKPOINT_MAGIC + struct.pack("<BII", list(ARCHS).index(self.arch),
+                                                    self.in_dim, self.hidden_dim))
             for name in param_names(self.arch):
                 fh.write(np.ascontiguousarray(self.params[name], dtype="<f8").tobytes())
 
@@ -146,9 +146,9 @@ class LinkPredictor:
         if cur.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise ValueError("not a checkpoint file")
         code, in_dim, hidden = cur.unpack("<BII")
-        if code not in _CODE_ARCH:
+        if code >= len(ARCHS):
             raise ValueError(f"unknown arch code {code} in checkpoint")
-        arch = _CODE_ARCH[code]
+        arch = list(ARCHS)[code]
         shapes = _param_shapes(arch, in_dim, hidden)
         params = {name: cur.array("<f8", math.prod(shapes[name])).reshape(shapes[name])
                   for name in param_names(arch)}
@@ -177,77 +177,44 @@ def propagation_matrix(arch: str, adjacency: sp.spmatrix) -> sp.csr_matrix:
     return gcn_propagation(adjacency) if arch == GCN else sage_propagation(adjacency)
 
 
-def _encode_forward(model: LinkPredictor, prop: sp.csr_matrix, features: np.ndarray) -> dict:
-    """Run the 3 encoder layers, keeping intermediates for backprop."""
-    if features.shape[1] != model.in_dim:
-        raise ValueError(f"feature dim {features.shape[1]} != model input dim {model.in_dim}")
-    p = model.params
-    cache = {"h": [features], "pre": [], "agg": []}
-    h = features
-    for i in (1, 2, 3):
-        agg = prop @ h
-        if model.arch == GCN:
-            z = agg @ p[f"enc{i}_w"] + p[f"enc{i}_b"]
-        else:
-            z = h @ p[f"enc{i}_self"] + agg @ p[f"enc{i}_nb"] + p[f"enc{i}_b"]
-        cache["agg"].append(agg)
-        cache["pre"].append(z)
-        h = np.maximum(z, 0.0) if i < 3 else z
-        cache["h"].append(h)
-    return cache
+def _forward(model: LinkPredictor, kind: str, x: np.ndarray, prop=None):
+    """Run the `kind` layers on x (ReLU between, the last linear). Returns the
+    output and, per layer, (bias, terms, input, prop @ input, pre-activation)."""
+    if kind == "enc" and x.shape[1] != model.in_dim:
+        raise ValueError(f"feature dim {x.shape[1]} != model input dim {model.in_dim}")
+    p, h, cache = model.params, x, []
+    for i, (b, terms) in enumerate(_layers(model.arch, kind)):
+        agg = None if prop is None else prop @ h
+        z = None
+        for w, propagated in terms:
+            y = (agg if propagated else h) @ p[w]
+            z = y if z is None else z + y
+        z += p[b]
+        cache.append((b, terms, h, agg, z))
+        h = np.maximum(z, 0.0) if i < 2 else z
+    return h, cache
 
 
-def _encode_backward(model: LinkPredictor, prop: sp.csr_matrix, cache: dict,
-                     d_out: np.ndarray, grads: dict) -> np.ndarray:
-    """Backprop d(loss)/d(embeddings) through the encoder; returns feature
-    gradients and accumulates parameter gradients into `grads`."""
-    p = model.params
-    prop_t = prop.T
-    dh = d_out
-    for i in (3, 2, 1):
-        dz = dh if i == 3 else dh * (cache["pre"][i - 1] > 0)
-        agg = cache["agg"][i - 1]
-        grads[f"enc{i}_b"] += dz.sum(axis=0)
-        if model.arch == GCN:
-            grads[f"enc{i}_w"] += agg.T @ dz
-            dh = prop_t @ (dz @ p[f"enc{i}_w"].T)
-        else:
-            grads[f"enc{i}_self"] += cache["h"][i - 1].T @ dz
-            grads[f"enc{i}_nb"] += agg.T @ dz
-            dh = dz @ p[f"enc{i}_self"].T + prop_t @ (dz @ p[f"enc{i}_nb"].T)
+def _backward(model: LinkPredictor, cache: list, dh: np.ndarray, grads: dict,
+              prop=None) -> np.ndarray:
+    """Backprop dh = d(loss)/d(output) through a `_forward` cache; accumulates
+    the parameter gradients into `grads` and returns the input's."""
+    p, prop_t = model.params, None if prop is None else prop.T
+    for i, (b, terms, h, agg, z) in enumerate(cache[::-1]):
+        dz = dh if i == 0 else dh * (z > 0)
+        grads[b] += dz.sum(axis=0)
+        dh = None
+        for w, propagated in terms:
+            grads[w] += (agg if propagated else h).T @ dz
+            d = prop_t @ (dz @ p[w].T) if propagated else dz @ p[w].T
+            dh = d if dh is None else dh + d
     return dh
 
 
 def encode(model: LinkPredictor, adjacency: sp.spmatrix, features: np.ndarray) -> np.ndarray:
     """Node embedding matrix for the given graph state."""
     prop = propagation_matrix(model.arch, adjacency)
-    return _encode_forward(model, prop, np.asarray(features, dtype=float))["h"][-1]
-
-
-def _decoder_forward(model: LinkPredictor, x: np.ndarray) -> dict:
-    p = model.params
-    z1 = x @ p["dec1_w"] + p["dec1_b"]
-    h1 = np.maximum(z1, 0.0)
-    z2 = h1 @ p["dec2_w"] + p["dec2_b"]
-    h2 = np.maximum(z2, 0.0)
-    logits = h2 @ p["dec3_w"] + p["dec3_b"]
-    return {"x": x, "z1": z1, "h1": h1, "z2": z2, "h2": h2, "logits": logits}
-
-
-def _decoder_backward(model: LinkPredictor, cache: dict, d_logits: np.ndarray,
-                      grads: dict) -> np.ndarray:
-    p = model.params
-    grads["dec3_w"] += cache["h2"].T @ d_logits
-    grads["dec3_b"] += d_logits.sum(axis=0)
-    dh2 = d_logits @ p["dec3_w"].T
-    dz2 = dh2 * (cache["z2"] > 0)
-    grads["dec2_w"] += cache["h1"].T @ dz2
-    grads["dec2_b"] += dz2.sum(axis=0)
-    dh1 = dz2 @ p["dec2_w"].T
-    dz1 = dh1 * (cache["z1"] > 0)
-    grads["dec1_w"] += cache["x"].T @ dz1
-    grads["dec1_b"] += dz1.sum(axis=0)
-    return dz1 @ p["dec1_w"].T
+    return _forward(model, "enc", np.asarray(features, dtype=float), prop)[0]
 
 
 def score_pairs(model: LinkPredictor, embeddings: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -255,7 +222,7 @@ def score_pairs(model: LinkPredictor, embeddings: np.ndarray, pairs: np.ndarray)
     endpoint embeddings, so scores are symmetric in (u, v)."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     x = embeddings[pairs[:, 0]] * embeddings[pairs[:, 1]]
-    return _decoder_forward(model, x)["logits"]
+    return _forward(model, "dec", x)[0]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -284,13 +251,14 @@ def nll_loss(logits: np.ndarray, labels: np.ndarray):
     return cross_entropy(logits, targets)
 
 
-def cross_entropy(logits: np.ndarray, targets: np.ndarray):
-    """Mean cross entropy against a target distribution per row. The NLL loss
+def cross_entropy(logits: np.ndarray, targets: np.ndarray, n: int | None = None):
+    """Cross entropy against a target distribution per row, summed over rows
+    and divided by `n` (default: the row count), and its logit gradient. NLL
     is the one-hot special case; soft targets drive extraction/distillation."""
     logp = log_softmax(logits)
-    n = len(logits)
+    n = len(logits) if n is None else n
     loss = -float(np.sum(targets * logp)) / n
-    grad = (softmax(logits) - targets) / n
+    grad = (np.exp(logp) - targets) / n
     return loss, grad
 
 
@@ -328,16 +296,10 @@ class PairBatch(_Batch):
         self.labels = np.asarray(labels, dtype=np.int64)
         if self.pairs.size and (self.pairs.min() < 0 or self.pairs.max() >= len(self.features)):
             raise ValueError(f"pair node ids must lie in [0, {len(self.features)})")
-        self._props: dict = {}
         self._segments: dict = {}
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def propagation(self, arch: str) -> sp.csr_matrix:
-        if arch not in self._props:
-            self._props[arch] = propagation_matrix(arch, self.adjacency)
-        return self._props[arch]
 
     def _build(self, arch: str) -> list:
         # rows k and n + k take pairs[k, 0] and pairs[k, 1], so the transpose
@@ -345,7 +307,7 @@ class PairBatch(_Batch):
         n = len(self.pairs)
         readout = sp.csr_matrix((np.ones(2 * n), self.pairs.T.ravel(), np.arange(2 * n + 1)),
                                 shape=(2 * n, len(self.features)))
-        return [(self.propagation(arch), [self.features], readout, slice(0, n))]
+        return [(propagation_matrix(arch, self.adjacency), [self.features], readout, slice(0, n))]
 
 
 class SubgraphBatch(_Batch):
@@ -389,9 +351,9 @@ def _factors(readout: sp.csr_matrix, emb: np.ndarray, rows: slice) -> np.ndarray
 def _segment_forward(model: LinkPredictor, prop: sp.csr_matrix, features: list,
                      readout: sp.csr_matrix, rows: slice):
     """Encode a segment and decode the elementwise product of its factors;
-    returns the encoder and decoder caches."""
-    enc = _encode_forward(model, prop, features[0] if len(features) == 1 else np.vstack(features))
-    return enc, _decoder_forward(model, _factors(readout, enc["h"][-1], rows).prod(axis=0))
+    returns the encoder's and the decoder's `_forward` results."""
+    enc = _forward(model, "enc", features[0] if len(features) == 1 else np.vstack(features), prop)
+    return enc, _forward(model, "dec", _factors(readout, enc[0], rows).prod(axis=0))
 
 
 def classify_subgraph(model: LinkPredictor, sg: Subgraph) -> np.ndarray:
@@ -402,7 +364,7 @@ def classify_subgraph(model: LinkPredictor, sg: Subgraph) -> np.ndarray:
 def batch_logits(model: LinkPredictor, batch) -> np.ndarray:
     logits = np.empty((len(batch), 2))
     for segment in batch.segments(model.arch):
-        logits[segment[3]] = _segment_forward(model, *segment)[1]["logits"]
+        logits[segment[3]] = _segment_forward(model, *segment)[1][0]
     return logits
 
 
@@ -420,21 +382,20 @@ def loss_and_grads(model: LinkPredictor, batch, targets: np.ndarray | None = Non
     grads = {name: np.zeros_like(val) for name, val in model.params.items()}
     total, d_features = 0.0, []
     for prop, features, readout, rows in batch.segments(model.arch):
-        enc, dec = _segment_forward(model, prop, features, readout, rows)
-        logp = log_softmax(dec["logits"])
-        total -= float(np.sum(targets[rows] * logp))
-        dx = _decoder_backward(model, dec, (np.exp(logp) - targets[rows]) / len(batch), grads)
-        del dec  # peak memory: drop the decoder caches, recompute the factors
+        (emb, enc), (logits, dec) = _segment_forward(model, prop, features, readout, rows)
+        loss, d_logits = cross_entropy(logits, targets[rows], len(batch))
+        total += loss
+        dx = _backward(model, dec, d_logits, grads)
+        del logits, dec  # peak memory: drop the decoder caches, recompute the factors
         # an endpoint's gradient is dx times the other endpoint, a pooled
         # block's is dx; the readout's transpose scatters them to the nodes
-        factors = _factors(readout, enc["h"][-1], rows)
+        factors = _factors(readout, emb, rows)
         d_factors = dx * factors[::-1] if len(factors) == 2 else dx[None]
         d_emb = readout.T @ d_factors.reshape(-1, dx.shape[1])
-        d_in = _encode_backward(model, prop, enc, d_emb, grads)
+        d_in = _backward(model, enc, d_emb, grads, prop)
         if with_feature_grads:
             d_features.append(d_in)
-    loss = total / len(batch)
-    return (loss, grads, np.vstack(d_features)) if with_feature_grads else (loss, grads)
+    return (total, grads, np.vstack(d_features)) if with_feature_grads else (total, grads)
 
 
 class AdamState:

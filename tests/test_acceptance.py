@@ -184,7 +184,7 @@ def brute_force_auc(scores, labels):
 def _kink_free_instance(seed, arch):
     """Random 10-node instance whose pre-activations stay away from ReLU
     kinks; central differences are only meaningful there."""
-    from linkmark.nn import _decoder_forward, _encode_forward
+    from linkmark.nn import _segment_forward
 
     for attempt in itertools.count():
         inst_seed = seed + 10_000 * attempt
@@ -195,12 +195,9 @@ def _kink_free_instance(seed, arch):
         batch = lm.PairBatch(ds.mp_adjacency, ds.features, pairs, labels)
         model = lm.LinkPredictor.init(arch, 4, 6, seed=inst_seed + 3)
         random_params(model, np.random.default_rng(inst_seed + 4))
-        prop = batch.propagation(arch)
-        cache = _encode_forward(model, prop, batch.features)
-        emb = cache["h"][-1]
-        dec = _decoder_forward(model, emb[pairs[:, 0]] * emb[pairs[:, 1]])
-        closest = min(np.abs(cache["pre"][0]).min(), np.abs(cache["pre"][1]).min(),
-                      np.abs(dec["z1"]).min(), np.abs(dec["z2"]).min())
+        # the two ReLU layers of the encoder and of the decoder
+        enc, dec = _segment_forward(model, *batch.segments(arch)[0])
+        closest = min(np.abs(z).min() for _, cache in (enc, dec) for *_, z in cache[:2])
         if closest > 1e-4:
             return model, batch
 

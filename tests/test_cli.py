@@ -6,11 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linkmark import cli
+from linkmark import cli, graph
 from linkmark.attacks import ATTACK_KINDS
 from linkmark.cli import _settings, _train_config, _wm_params, build_parser, main
-from linkmark.nn import TrainConfig
+from linkmark.graph import load_dataset
+from linkmark.nn import LinkPredictor, TrainConfig
 from linkmark.protocol import WmParams
+from linkmark.util import sha256_file
 from linkmark.watermark import NodeRepWatermark, load_wm, save_wm
 
 from conftest import BAD_CHECKPOINTS
@@ -171,6 +173,22 @@ class TestPipeline:
         assert len(doc["config_sha256"]) == 64
         for digest in doc["artifacts"].values():
             assert len(digest) == 64
+
+    def test_config_hash_does_not_depend_on_path_spelling(self, pipeline, tmp_path,
+                                                          monkeypatch):
+        out, cfg = pipeline
+        monkeypatch.chdir(out)
+        manifests = []
+        for name, prefix in (("relative", ""), ("absolute", f"{out}/")):
+            assert main(["split", "--out", str(tmp_path / name), "--seed", "42",
+                         "--config", str(cfg), "--edges", prefix + "graph.edges",
+                         "--features", prefix + "graph.features"]) == 0
+            manifests.append(json.loads((tmp_path / name / "split_manifest.json").read_text()))
+        relative, absolute = manifests
+        assert relative["config_sha256"] == absolute["config_sha256"]
+        assert relative["inputs"] == absolute["inputs"] == {
+            "edges": sha256_file(out / "graph.edges"),
+            "features": sha256_file(out / "graph.features")}
 
     def test_eval_reports_both_aucs(self, pipeline, tmp_path):
         out, _ = pipeline
@@ -506,6 +524,21 @@ def test_subgraph_pathway_through_cli(pipeline, tmp_path):
     assert 0.0 <= report["auc_wm"] <= 1.0
 
 
+def test_subgraph_eval_extracts_only_the_splits_it_scores(pipeline, tmp_path, monkeypatch):
+    out, _ = pipeline
+    cfg = tmp_path / "sg.json"
+    cfg.write_text(json.dumps({"pathway": "subgraph", "hops": 1}))
+    LinkPredictor.init("gcn", 16, 8, seed=0).save(tmp_path / "model.ckpt")
+    calls = []
+    extract_khop = graph.extract_khop
+    monkeypatch.setattr(graph, "extract_khop",
+                        lambda *a, **kw: calls.append(a[1]) or extract_khop(*a, **kw))
+    assert main(["eval", "--out", str(tmp_path), "--dataset", str(out / "dataset.npz"),
+                 "--checkpoint", str(tmp_path / "model.ckpt"), "--config", str(cfg)]) == 0
+    ds = load_dataset(out / "dataset.npz")
+    assert len(calls) == sum(len(ds.split_arrays(split)[1]) for split in ("valid", "test"))
+
+
 def test_register_writes_the_wm_gen_trigger_set(pipeline, tmp_path):
     """The judge's registered bytes must be the owner's `wm-gen` file, also
     when the config sets the split ratios the subgraph pathway samples from."""
@@ -562,6 +595,14 @@ def test_cohort_stats_script_small(tmp_path):
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert len((tmp_path / "table1.csv").read_text().strip().splitlines()) == 3
+
+
+def test_param_hashes_script_small():
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "param_hashes.py"), "--epochs", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert len(proc.stdout.strip().splitlines()) == 48
 
 
 def test_reproduce_table1_small(pipeline, tmp_path):

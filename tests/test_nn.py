@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 
@@ -93,6 +94,21 @@ class TestEncode:
             z = dense @ h @ p[f"enc{i}_w"] + p[f"enc{i}_b"]
             h = np.maximum(z, 0) if i < 3 else z
         assert np.allclose(encode(model, adj, x), h, atol=1e-12)
+
+    def test_sage_matches_hand_written_neighbour_mean(self):
+        # path 0-1-2 plus the isolated node 3, whose neighbour mean is zero
+        model = random_params(lm.LinkPredictor.init("sage", 3, 4, seed=3),
+                              np.random.default_rng(4))
+        adj = sp.csr_matrix(np.array([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0],
+                                      [0, 0, 0, 0]], dtype=float))
+        x = np.random.default_rng(5).normal(size=(4, 3))
+        p = model.params
+        h = x
+        for i in (1, 2, 3):
+            mean_neigh = np.stack([h[1], (h[0] + h[2]) / 2, h[1], np.zeros(h.shape[1])])
+            z = h @ p[f"enc{i}_self"] + mean_neigh @ p[f"enc{i}_nb"] + p[f"enc{i}_b"]
+            h = np.maximum(z, 0) if i < 3 else z
+        assert np.allclose(encode(model, adj, x), h, rtol=0, atol=1e-12)
 
     def test_shape_mismatch(self):
         model = lm.LinkPredictor.init("gcn", 4, 6, seed=0)
@@ -230,7 +246,7 @@ class TestSegments:
         # reference outside the segment code: encode alone, mean, decode
         pooled = np.stack([encode(model, sg.adjacency(), sg.local_features).mean(axis=0)
                            for sg in batch.subgraphs])
-        reference = nn._decoder_forward(model, pooled)["logits"]
+        reference = nn._forward(model, "dec", pooled)[0]
         assert np.allclose(batch_logits(model, batch), reference, rtol=0, atol=1e-12)
         loss, _ = loss_and_grads(model, batch)
         assert loss == pytest.approx(nll_loss(rowwise, batch.labels)[0], abs=1e-12)
@@ -417,6 +433,26 @@ class TestCheckpoint:
         path2 = tmp_path / "m2.ckpt"
         back.save(path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("arch, code, layout", [
+        ("gcn", 0, [("enc1_w", (3, 5)), ("enc1_b", (5,)), ("enc2_w", (5, 5)), ("enc2_b", (5,)),
+                    ("enc3_w", (5, 5)), ("enc3_b", (5,)), ("dec1_w", (5, 5)), ("dec1_b", (5,)),
+                    ("dec2_w", (5, 5)), ("dec2_b", (5,)), ("dec3_w", (5, 2)), ("dec3_b", (2,))]),
+        ("sage", 1, [("enc1_self", (3, 5)), ("enc1_nb", (3, 5)), ("enc1_b", (5,)),
+                     ("enc2_self", (5, 5)), ("enc2_nb", (5, 5)), ("enc2_b", (5,)),
+                     ("enc3_self", (5, 5)), ("enc3_nb", (5, 5)), ("enc3_b", (5,)),
+                     ("dec1_w", (5, 5)), ("dec1_b", (5,)), ("dec2_w", (5, 5)), ("dec2_b", (5,)),
+                     ("dec3_w", (5, 2)), ("dec3_b", (2,))]),
+    ])
+    def test_golden_layout(self, tmp_path, arch, code, layout):
+        names = [name for name, _ in layout]
+        assert nn.param_names(arch) == names
+        model = lm.LinkPredictor.init(arch, 3, 5, seed=51)
+        assert [model.params[name].shape for name in names] == [shape for _, shape in layout]
+        model.save(tmp_path / "m.ckpt")
+        body = b"".join(model.params[name].astype("<f8").tobytes() for name in names)
+        assert (tmp_path / "m.ckpt").read_bytes() == (
+            b"GLPW1" + struct.pack("<BII", code, 3, 5) + body)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"
