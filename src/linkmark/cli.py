@@ -315,16 +315,22 @@ def cmd_serve(args, s) -> int:
 
 
 def cmd_report(args, s) -> int:
+    """One row per watermarked `eval.json`, beside the one clean row whose eval
+    manifest names the same `inputs.dataset` (no manifest: an unknown one)."""
     kinds = {"clean": [], "wm": []}
     for path in sorted(Path(args.runs).rglob("eval.json")):
-        with open(path) as fh:
-            row = json.load(fh)
-        kinds["wm" if row.get("auc_wm") is not None else "clean"].append(row)
+        row, manifest = json.loads(path.read_text()), path.with_name("eval_manifest.json")
+        dataset = (json.loads(manifest.read_text()).get("inputs", {}).get("dataset")
+                   if manifest.exists() else None)
+        kinds["wm" if row.get("auc_wm") is not None else "clean"].append((path, dataset, row))
+    lines = []
+    for path, dataset, wm_row in kinds["wm"]:
+        clean = [row for _, d, row in kinds["clean"] if d == dataset]
+        if len(clean) != 1:
+            return _fail("unpaired_run", f"{path}: {len(clean)} clean runs on its dataset")
+        lines.append(f"{clean[0]['auc_test']},{wm_row['auc_test']},{wm_row['auc_wm']}\n")
     path = args.out / "mainResults.csv"
-    with open(path, "w") as fh:
-        fh.write("auc_test_clean,auc_test_wm,auc_wm_wm\n")
-        for clean_row, wm_row in zip(kinds["clean"], kinds["wm"]):
-            fh.write(f"{clean_row['auc_test']},{wm_row['auc_test']},{wm_row['auc_wm']}\n")
+    path.write_text("auc_test_clean,auc_test_wm,auc_wm_wm\n" + "".join(lines))
     return _emit(args, {"table": "mainResults", "seed": None},
                  ["mainResults.csv"], line=f"wrote {path}")
 

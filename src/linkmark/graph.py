@@ -327,17 +327,20 @@ def extract_khop(ds: LinkDataset, pair, k: int, label: int = 0) -> Subgraph:
     n = ds.num_nodes
     if not (0 <= u < n and 0 <= v < n) or u == v:
         raise ValueError(f"invalid pair ({u},{v})")
-    adj = ds.mp_adjacency
-    reached = np.zeros(n, dtype=bool)
-    reached[[u, v]] = True
+    ip, ix = ds.mp_adjacency.indptr, ds.mp_adjacency.indices
+    # grown from the frontier's rows only, so a call costs O(subgraph) (the
+    # zeroed mask is mapped lazily)
+    reached, hops = np.zeros(n, dtype=bool), [np.array(sorted((u, v)))]
+    reached[hops[0]] = True
     for _ in range(k):
-        reached |= adj @ reached > 0
-    node_ids = np.flatnonzero(reached)
+        nbrs = np.concatenate([ix[:0]] + [ix[ip[a]:ip[a + 1]] for a in hops[-1].tolist()])
+        hops.append(np.unique(nbrs[~reached[nbrs]]))
+        reached[hops[-1]] = True
+    node_ids = np.sort(np.concatenate(hops))
     # all members' CSR rows in one gather, as (src, dst) entry pairs
-    starts, counts = adj.indptr[node_ids], np.diff(adj.indptr)[node_ids]
+    starts, counts = ip[node_ids], ip[node_ids + 1] - ip[node_ids]
     src = np.repeat(node_ids, counts)
-    dst = adj.indices[np.repeat(starts - np.cumsum(counts) + counts, counts)
-                      + np.arange(counts.sum())]
+    dst = ix[np.repeat(starts - counts.cumsum() + counts, counts) + np.arange(counts.sum())]
     keep = (src < dst) & reached[dst] & ((src != min(u, v)) | (dst != max(u, v)))
     local = np.searchsorted(node_ids, np.stack([src[keep], dst[keep]], axis=1))
     return Subgraph(node_ids, local[np.argsort(local[:, 0] * len(node_ids) + local[:, 1])],

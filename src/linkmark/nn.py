@@ -15,6 +15,12 @@ weight terms on the layer input or on its propagated input, plus a bias.
 `ARCHS` is the one place an arch is defined: parameter names and shapes, the
 checkpoint arch byte and every arch check come from it.
 
+A batch owns a workspace: `loss_and_grads` and `batch_logits` write each
+large array of a step (layer outputs, deltas, pair factors and their
+gradients) into arrays it keeps, which the kernel would otherwise map, fault
+in and zero afresh on every step. So one thread at a time may score a batch.
+`encode` and `score_pairs` serve single pairs and keep plain `@`.
+
 Checkpoint layout (all little-endian): magic b"GLPW1", one arch byte
 (0 = gcn, 1 = sage), u32 input dim, u32 hidden dim, then the raw f64 buffer
 of every parameter tensor in `param_names()` order. Shapes are implied by
@@ -177,9 +183,18 @@ def propagation_matrix(arch: str, adjacency: sp.spmatrix) -> sp.csr_matrix:
     return gcn_propagation(adjacency) if arch == GCN else sage_propagation(adjacency)
 
 
-def _forward(model: LinkPredictor, kind: str, x: np.ndarray, prop=None):
-    """Run the `kind` layers on x (ReLU between, the last linear). Returns the
-    output and, per layer, (bias, terms, input, prop @ input, pre-activation)."""
+def _slot(ws: dict, key, shape: tuple) -> np.ndarray:
+    """A `shape` prefix of the workspace's (key, columns) array, grown on demand."""
+    a = ws.get((key, shape[1]))
+    if a is None or len(a) < shape[0]:
+        a = ws[key, shape[1]] = np.empty(shape)
+    return a[:shape[0]]
+
+
+def _forward(model: LinkPredictor, kind: str, x: np.ndarray, prop=None, ws=None):
+    """Run the `kind` layers on x (ReLU between, in place; the last linear),
+    writing each output into the workspace `ws` if given. Returns the output
+    and, per layer, (bias, terms, input, prop @ input, output)."""
     if kind == "enc" and x.shape[1] != model.in_dim:
         raise ValueError(f"feature dim {x.shape[1]} != model input dim {model.in_dim}")
     p, h, cache = model.params, x, []
@@ -187,27 +202,37 @@ def _forward(model: LinkPredictor, kind: str, x: np.ndarray, prop=None):
         agg = None if prop is None else prop @ h
         z = None
         for w, propagated in terms:
-            y = (agg if propagated else h) @ p[w]
-            z = y if z is None else z + y
+            src = agg if propagated else h
+            y = src @ p[w] if ws is None else np.matmul(src, p[w], out=_slot(
+                ws, (kind, i) if z is None else "term", (len(src), p[w].shape[1])))
+            z = y if z is None else np.add(z, y, out=z)
         z += p[b]
-        cache.append((b, terms, h, agg, z))
-        h = np.maximum(z, 0.0) if i < 2 else z
+        cache.append((b, terms, h, agg, np.maximum(z, 0.0, out=z) if i < 2 else z))
+        h = z
     return h, cache
 
 
-def _backward(model: LinkPredictor, cache: list, dh: np.ndarray, grads: dict,
-              prop=None) -> np.ndarray:
+def _backward(model: LinkPredictor, cache: list, dh: np.ndarray, grads: dict, ws: dict,
+              prop_t=None, input_grad: bool = True):
     """Backprop dh = d(loss)/d(output) through a `_forward` cache; accumulates
-    the parameter gradients into `grads` and returns the input's."""
-    p, prop_t = model.params, None if prop is None else prop.T
-    for i, (b, terms, h, agg, z) in enumerate(cache[::-1]):
-        dz = dh if i == 0 else dh * (z > 0)
-        grads[b] += dz.sum(axis=0)
-        dh = None
+    the parameter gradients into `grads` and returns the input's (None unless
+    `input_grad`). Layer i's input gradient is formed in workspace delta i % 2,
+    so the decoder's is delta 0 and delta 1 is then free."""
+    p = model.params
+    for i, (b, terms, h, agg, a) in reversed(list(enumerate(cache))):
+        if i < 2:
+            dh *= a > 0  # the ReLU output is positive exactly where its input is
+        grads[b] += dh.sum(axis=0)
+        d_in = None
         for w, propagated in terms:
-            grads[w] += (agg if propagated else h).T @ dz
-            d = prop_t @ (dz @ p[w].T) if propagated else dz @ p[w].T
-            dh = d if dh is None else dh + d
+            grads[w] += (agg if propagated else h).T @ dh
+            if i == 0 and not input_grad:
+                continue
+            d = np.matmul(dh, p[w].T, out=_slot(
+                ws, ("delta", i % 2) if d_in is None else "term", (len(dh), p[w].shape[0])))
+            d = prop_t @ d if propagated else d
+            d_in = d if d_in is None else np.add(d_in, d, out=d_in)
+        dh = d_in
     return dh
 
 
@@ -269,15 +294,16 @@ SEGMENT_NODES = 256
 
 class _Batch:
     """Labeled rows scored segment by segment. A segment is (propagation,
-    features, readout, rows): a graph to encode, the arrays stacked into its
-    node features, a sparse readout of its node embeddings, and the batch
-    rows it scores. A pair readout stacks the two endpoint gathers; a pool
-    readout has one block, the mean embedding per subgraph. Built once per
-    arch."""
+    features, readout, rows, propagation.T, readout.T): a graph to encode, the
+    arrays stacked into its node features, a sparse readout of its node
+    embeddings, the batch rows it scores, and the transposes for the backward
+    pass. A pair readout stacks the two endpoint gathers; a pool readout has
+    one block, the mean embedding per subgraph. Built once per arch."""
 
     def segments(self, arch: str) -> list:
         if arch not in self._segments:
-            self._segments[arch] = self._build(arch) if len(self) else []
+            built = self._build(arch) if len(self) else []
+            self._segments[arch] = [(*seg, seg[0].T, seg[2].T) for seg in built]
         return self._segments[arch]
 
     def onehot_targets(self) -> np.ndarray:
@@ -296,7 +322,7 @@ class PairBatch(_Batch):
         self.labels = np.asarray(labels, dtype=np.int64)
         if self.pairs.size and (self.pairs.min() < 0 or self.pairs.max() >= len(self.features)):
             raise ValueError(f"pair node ids must lie in [0, {len(self.features)})")
-        self._segments: dict = {}
+        self._segments, self._workspace = {}, {}
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -322,7 +348,7 @@ class SubgraphBatch(_Batch):
             raise ValueError("one label per subgraph required")
         if any(sg.num_nodes == 0 for sg in self.subgraphs):
             raise ValueError("empty subgraph")
-        self._segments: dict = {}
+        self._segments, self._workspace = {}, {}
 
     def __len__(self) -> int:
         return len(self.subgraphs)
@@ -342,18 +368,24 @@ class SubgraphBatch(_Batch):
         return segments
 
 
-def _factors(readout: sp.csr_matrix, emb: np.ndarray, rows: slice) -> np.ndarray:
-    """The readout as a (2, rows, hidden) pair of endpoint embeddings or a
-    (1, rows, hidden) block of pooled ones; the decoder input is their product."""
-    return (readout @ emb).reshape(-1, rows.stop - rows.start, emb.shape[1])
-
-
 def _segment_forward(model: LinkPredictor, prop: sp.csr_matrix, features: list,
-                     readout: sp.csr_matrix, rows: slice):
-    """Encode a segment and decode the elementwise product of its factors;
-    returns the encoder's and the decoder's `_forward` results."""
-    enc = _forward(model, "enc", features[0] if len(features) == 1 else np.vstack(features), prop)
-    return enc, _forward(model, "dec", _factors(readout, enc[0], rows).prod(axis=0))
+                     readout: sp.csr_matrix, rows: slice, *transposes, ws=None):
+    """Encode a segment, read out its factors, a (2, rows, hidden) pair of endpoint
+    embeddings or a (1, rows, hidden) pooled block, and decode their product in the
+    workspace `ws` (default: a new one). Returns (encoder `_forward`, factors, decoder's)."""
+    ws = {} if ws is None else ws
+    enc = _forward(model, "enc", features[0] if len(features) == 1 else np.vstack(features),
+                   prop, ws)
+    n, hidden = rows.stop - rows.start, enc[0].shape[1]
+    if readout.shape[0] == n:
+        factors = (readout @ enc[0])[None]
+        return enc, factors, _forward(model, "dec", factors[0], ws=ws)
+    # a pair readout is a gather; mode="clip" lets numpy write straight into
+    # `out` (PairBatch checked the ids)
+    factors = np.take(enc[0], readout.indices, axis=0, mode="clip",
+                      out=_slot(ws, "factors", (2 * n, hidden))).reshape(2, n, hidden)
+    x = np.multiply(*factors, out=_slot(ws, "x", (n, hidden)))
+    return enc, factors, _forward(model, "dec", x, ws=ws)
 
 
 def classify_subgraph(model: LinkPredictor, sg: Subgraph) -> np.ndarray:
@@ -364,7 +396,7 @@ def classify_subgraph(model: LinkPredictor, sg: Subgraph) -> np.ndarray:
 def batch_logits(model: LinkPredictor, batch) -> np.ndarray:
     logits = np.empty((len(batch), 2))
     for segment in batch.segments(model.arch):
-        logits[segment[3]] = _segment_forward(model, *segment)[1][0]
+        logits[segment[3]] = _segment_forward(model, *segment, ws=batch._workspace)[2][0]
     return logits
 
 
@@ -380,21 +412,25 @@ def loss_and_grads(model: LinkPredictor, batch, targets: np.ndarray | None = Non
     if targets is None:
         targets = batch.onehot_targets()
     grads = {name: np.zeros_like(val) for name, val in model.params.items()}
-    total, d_features = 0.0, []
-    for prop, features, readout, rows in batch.segments(model.arch):
-        (emb, enc), (logits, dec) = _segment_forward(model, prop, features, readout, rows)
+    total, d_features, ws = 0.0, [], batch._workspace
+    for prop, features, readout, rows, prop_t, readout_t in batch.segments(model.arch):
+        enc, factors, (logits, dec) = _segment_forward(model, prop, features, readout, rows,
+                                                       ws=ws)
         loss, d_logits = cross_entropy(logits, targets[rows], len(batch))
         total += loss
-        dx = _backward(model, dec, d_logits, grads)
-        del logits, dec  # peak memory: drop the decoder caches, recompute the factors
-        # an endpoint's gradient is dx times the other endpoint, a pooled
-        # block's is dx; the readout's transpose scatters them to the nodes
-        factors = _factors(readout, emb, rows)
-        d_factors = dx * factors[::-1] if len(factors) == 2 else dx[None]
-        d_emb = readout.T @ d_factors.reshape(-1, dx.shape[1])
-        d_in = _backward(model, enc, d_emb, grads, prop)
+        dx = _backward(model, dec, d_logits, grads, ws)
+        # an endpoint's gradient is dx times the other endpoint (written over the factors
+        # through the free delta), a pooled block's is dx; readout.T scatters them to nodes
+        if len(factors) == 2:
+            spare = np.multiply(dx, factors[1], out=_slot(ws, ("delta", 1), dx.shape))
+            np.multiply(dx, factors[0], out=factors[1])
+            factors[0] = spare
+        else:
+            factors = dx[None]
+        d_emb = readout_t @ factors.reshape(-1, dx.shape[1])
+        d_in = _backward(model, enc[1], d_emb, grads, ws, prop_t, with_feature_grads)
         if with_feature_grads:
-            d_features.append(d_in)
+            d_features.append(d_in.copy())  # the next segment reuses the workspace
     return (total, grads, np.vstack(d_features)) if with_feature_grads else (total, grads)
 
 

@@ -195,9 +195,12 @@ def _kink_free_instance(seed, arch):
         batch = lm.PairBatch(ds.mp_adjacency, ds.features, pairs, labels)
         model = lm.LinkPredictor.init(arch, 4, 6, seed=inst_seed + 3)
         random_params(model, np.random.default_rng(inst_seed + 4))
-        # the two ReLU layers of the encoder and of the decoder
-        enc, dec = _segment_forward(model, *batch.segments(arch)[0])
-        closest = min(np.abs(z).min() for _, cache in (enc, dec) for *_, z in cache[:2])
+        # the two ReLU layers of the encoder and of the decoder; a cache keeps
+        # each layer's input and ReLU output, so recompute the pre-activation
+        enc, _, dec = _segment_forward(model, *batch.segments(arch)[0])
+        p = model.params
+        closest = min(np.abs(sum((agg if on else h) @ p[w] for w, on in terms) + p[b]).min()
+                      for _, cache in (enc, dec) for b, terms, h, agg, _ in cache[:2])
         if closest > 1e-4:
             return model, batch
 

@@ -413,6 +413,46 @@ class TestReport:
         assert lines[0] == "auc_test_clean,auc_test_wm,auc_wm_wm"
         assert lines[1] == "0.71,0.7,0.93"
 
+    @staticmethod
+    def write_run(runs, name, dataset, **row):
+        """An eval output directory: the report and a manifest naming its dataset."""
+        (runs / name).mkdir(parents=True)
+        (runs / name / "eval.json").write_text(json.dumps(row))
+        (runs / name / "eval_manifest.json").write_text(
+            json.dumps({"command": "eval", "inputs": {"dataset": dataset}}))
+
+    def test_rows_pair_runs_on_the_same_dataset(self, pipeline, tmp_path, capsys):
+        # a node-rep clean and watermarked run from real `eval`s, and a
+        # subgraph run (sg) on another dataset, which sorts between them
+        out, _ = pipeline
+        runs = tmp_path / "runs"
+        base = ["eval", "--dataset", str(out / "dataset.npz"),
+                "--checkpoint", str(out / "model.ckpt")]
+        assert main(base + ["--out", str(runs / "clean")]) == 0
+        assert main(base + ["--out", str(runs / "wm"), "--wm", str(out / "trigger.gwm")]) == 0
+        clean, wm = (json.loads((runs / name / "eval.json").read_text())
+                     for name in ("clean", "wm"))
+        self.write_run(runs, "sg", "b" * 64, auc_test=0.488, auc_wm=0.616)
+        capsys.readouterr()
+        assert main(["report", "--out", str(tmp_path), "--runs", str(runs)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "unpaired_run" and "sg" in err["message"]
+        # with the subgraph run's own clean run, each row keeps to its dataset
+        self.write_run(runs, "clean_sg", "b" * 64, auc_test=0.51)
+        assert main(["report", "--out", str(tmp_path), "--runs", str(runs)]) == 0
+        lines = (tmp_path / "mainResults.csv").read_text().strip().splitlines()
+        assert lines[1:] == ["0.51,0.488,0.616",
+                             f"{clean['auc_test']},{wm['auc_test']},{wm['auc_wm']}"]
+
+    def test_two_clean_runs_on_one_dataset_are_refused(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        for name, auc in (("clean_a", 0.71), ("clean_b", 0.69)):
+            self.write_run(runs, name, "a" * 64, auc_test=auc)
+        self.write_run(runs, "wm", "a" * 64, auc_test=0.70, auc_wm=0.93)
+        assert main(["report", "--out", str(tmp_path), "--runs", str(runs)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "unpaired_run" and "wm" in err["message"]
+
 
 class TestServeCommand:
     def test_serve_plain_graph_without_watermark(self, pipeline):

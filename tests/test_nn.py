@@ -1,6 +1,7 @@
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,9 +232,10 @@ class TestSegments:
         batch = multi_segment_batch(18)
         rows = [seg[3] for seg in batch.segments("gcn")]
         assert [(r.start, r.stop) for r in rows] == [(0, 3), (3, 4), (4, 6)]
-        for prop, features, pool, r in batch.segments("gcn"):
+        for prop, features, pool, r, prop_t, pool_t in batch.segments("gcn"):
             nodes = sum(MULTI_SEGMENT_SIZES[r.start:r.stop])
             assert prop.shape == (nodes, nodes) and pool.shape == (r.stop - r.start, nodes)
+            assert (prop_t != prop.T).nnz == 0 and (pool_t != pool.T).nnz == 0
             assert nodes <= SEGMENT_NODES or r.stop - r.start == 1
             assert np.allclose(pool.sum(axis=1), 1.0)
 
@@ -294,6 +296,68 @@ class TestSegments:
         assert builds == ["gcn"]
         assert batch.segments("gcn")[0][2] is readout
         assert readout.shape == (2 * len(batch), len(batch.features))
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("make_batch", [small_pair_batch, multi_segment_batch],
+                             ids=["pairs", "segments"])
+    def test_shared_batch_matches_fresh_batches(self, make_batch):
+        # two hidden sizes on one arch, and a second arch sharing a width
+        models = [random_params(lm.LinkPredictor.init(arch, 4, hidden, seed=hidden),
+                                np.random.default_rng(hidden))
+                  for arch, hidden in (("gcn", 6), ("gcn", 9), ("sage", 6))]
+        shared, returned = make_batch(30), []
+        for _ in range(2):
+            for model in models:
+                loss, grads, d_features = loss_and_grads(model, shared, with_feature_grads=True)
+                logits = batch_logits(model, shared)
+                want_loss, want_grads, want_d = loss_and_grads(model, make_batch(30),
+                                                               with_feature_grads=True)
+                assert loss == want_loss
+                assert grads.keys() == want_grads.keys()
+                assert all(same_bits(grads[name], want_grads[name]) for name in grads)
+                assert same_bits(d_features, want_d)
+                assert same_bits(logits, batch_logits(model, make_batch(30)))
+                returned += [(a, a.copy()) for a in (*grads.values(), d_features, logits)]
+        # later calls on the shared batch leave every returned array as it was
+        assert all(same_bits(a, snapshot) for a, snapshot in returned)
+
+    def test_feature_grads_of_every_segment_survive_the_next(self):
+        # each segment's feature gradient matches a batch of that segment's
+        # subgraphs alone, rescaled from its own row count to the whole batch's
+        batch = multi_segment_batch(32)
+        model = random_params(lm.LinkPredictor.init("sage", 4, 6, seed=33),
+                              np.random.default_rng(33))
+        _, _, d_features = loss_and_grads(model, batch, with_feature_grads=True)
+        parts = []
+        for segment in batch.segments("sage"):
+            rows = segment[3]
+            alone = SubgraphBatch(batch.subgraphs[rows], batch.labels[rows])
+            d_alone = loss_and_grads(model, alone, with_feature_grads=True)[2]
+            parts.append(d_alone * len(alone) / len(batch))
+        assert len(parts) > 1
+        assert np.allclose(d_features, np.vstack(parts), rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("arch", ["gcn", "sage"])
+    def test_warm_pair_step_allocates_under_one_activation(self, arch):
+        g = lm.init_features(lm.generate_sbm(2, 60, 0.3, 0.05, seed=40), 8, seed=41)
+        ds = lm.split_links(g, (0.8, 0.1, 0.1), seed=42)
+        batch = PairBatch(ds.mp_adjacency, ds.features, *ds.split_arrays("train"))
+        hidden = 64
+        model = lm.LinkPredictor.init(arch, 8, hidden, seed=43)
+        loss_and_grads(model, batch)
+        tracemalloc.start()
+        try:
+            loss_and_grads(model, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (pairs x hidden) float64 array; the step keeps its own in the batch
+        assert peak < len(batch) * hidden * 8
 
 
 class TestAdam:
