@@ -75,8 +75,9 @@ def main() -> int:
             lines.append((f"attack_{kind}_{arch}", params_digest(attacked)))
 
         _, grads, d_features = loss_and_grads(victim, train, with_feature_grads=True)
+        views = victim.views(grads)
         lines.append((f"feature_grads_{arch}",
-                      digest(d_features, *(grads[n] for n in sorted(grads)))))
+                      digest(d_features, *(views[n] for n in sorted(views)))))
         emb = encode(victim, ds.mp_adjacency, ds.features)
         lines.append((f"score_pairs_{arch}", digest(score_pairs(victim, emb, test_pairs))))
 

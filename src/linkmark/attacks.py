@@ -78,7 +78,8 @@ def finetune(model: LinkPredictor, attack_batch, mode: str, epochs: int = 50,
     out = model.clone()
     if mode in ("RTLL", "RTAL"):
         out.reinit_final_layer(derive_seed(seed, "reinit"))
-    trainable = set(FINAL_LAYER) if mode in ("FTLL", "RTLL") else set(out.params)
+    final_layer = slice(-sum(out.params[name].size for name in FINAL_LAYER), None)
+    trainable = final_layer if mode in ("FTLL", "RTLL") else None
     return fit(out, [(f"finetune/{mode}", grads_on(attack_batch))], epochs,
                learning_rate, trainable=trainable)
 
@@ -89,18 +90,11 @@ def prune(model: LinkPredictor, fraction: float) -> LinkPredictor:
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
     out = model.clone()
-    names = out.weight_names()
-    flat = np.concatenate([out.params[n].ravel() for n in names])
-    k = int(np.floor(fraction * flat.size))
-    if k == 0:
-        return out
-    cut = np.argsort(np.abs(flat), kind="stable")[:k]
-    flat[cut] = 0.0
-    pos = 0
-    for n in names:
-        size = out.params[n].size
-        out.params[n] = flat[pos:pos + size].reshape(out.params[n].shape)
-        pos += size
+    index = out.views(np.arange(out.flat.size))
+    weights = np.concatenate([index[name].ravel() for name in out.weight_names()])
+    # the stable sort breaks magnitude ties by position in `weight_names` order
+    cut = np.argsort(np.abs(out.flat[weights]), kind="stable")
+    out.flat[weights[cut[:int(np.floor(fraction * weights.size))]]] = 0.0
     return out
 
 
@@ -111,12 +105,12 @@ def quantize(model: LinkPredictor, bits: int = 3) -> LinkPredictor:
         raise ValueError("bits must be >= 1")
     out = model.clone()
     levels = 2 ** bits - 1
-    for name, w in out.params.items():
+    for w in out.params.values():
         lo, hi = float(w.min()), float(w.max())
         if hi == lo:
             continue
         step = (hi - lo) / levels
-        out.params[name] = lo + np.round((w - lo) / step) * step
+        w[...] = lo + np.round((w - lo) / step) * step
     return out
 
 
@@ -133,10 +127,7 @@ def _victim_targets(victim: LinkPredictor, batch: PairBatch, label_mode: str) ->
     if label_mode == "soft":
         return probs
     if label_mode == "hard":
-        hard = np.argmax(probs, axis=1)
-        onehot = np.zeros_like(probs)
-        onehot[np.arange(len(hard)), hard] = 1.0
-        return onehot
+        return np.eye(probs.shape[1])[np.argmax(probs, axis=1)]
     raise ValueError(f"unknown label mode {label_mode!r}")
 
 
@@ -150,15 +141,13 @@ def extract(victim: LinkPredictor, surrogate_arch: str, label_mode: str,
     if rounds == 2:
         label_mode = "hard"
     teacher = victim
-    surrogate = None
     for r in range(rounds):
         targets = _victim_targets(teacher, query_batch, label_mode)
-        surrogate = LinkPredictor.init(surrogate_arch, query_batch.features.shape[1],
-                                       cfg.hidden_dim, derive_seed(cfg.seed, f"extract{r}"))
-        fit(surrogate, [(f"extract{r}", grads_on(query_batch, targets))], cfg.epochs,
+        teacher = LinkPredictor.init(surrogate_arch, query_batch.features.shape[1],
+                                     cfg.hidden_dim, derive_seed(cfg.seed, f"extract{r}"))
+        fit(teacher, [(f"extract{r}", grads_on(query_batch, targets))], cfg.epochs,
             cfg.learning_rate)
-        teacher = surrogate
-    return surrogate
+    return teacher
 
 
 def distill(victim: LinkPredictor, student_arch: str, query_batch: PairBatch,

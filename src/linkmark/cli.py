@@ -212,7 +212,9 @@ def cmd_eval(args, s) -> int:
     }
     if args.wm:
         report["auc_wm"] = watermark_auc(model, load_wm(args.wm))
-    return _emit(args, {"seed": None}, [], ("eval.json", report))
+    hops = params.hops if params.pathway == "subgraph" else None
+    return _emit(args, {"seed": None, "pathway": params.pathway, "hops": hops}, [],
+                 ("eval.json", report))
 
 
 def _threshold_task(task: dict) -> dict:
@@ -316,18 +318,20 @@ def cmd_serve(args, s) -> int:
 
 def cmd_report(args, s) -> int:
     """One row per watermarked `eval.json`, beside the one clean row whose eval
-    manifest names the same `inputs.dataset` (no manifest: an unknown one)."""
+    manifest names the same `inputs.dataset`, pathway and hops (no manifest:
+    unknown ones)."""
     kinds = {"clean": [], "wm": []}
     for path in sorted(Path(args.runs).rglob("eval.json")):
         row, manifest = json.loads(path.read_text()), path.with_name("eval_manifest.json")
-        dataset = (json.loads(manifest.read_text()).get("inputs", {}).get("dataset")
-                   if manifest.exists() else None)
-        kinds["wm" if row.get("auc_wm") is not None else "clean"].append((path, dataset, row))
+        doc = json.loads(manifest.read_text()) if manifest.exists() else {}
+        params = doc.get("params", {})
+        run = (doc.get("inputs", {}).get("dataset"), params.get("pathway"), params.get("hops"))
+        kinds["wm" if row.get("auc_wm") is not None else "clean"].append((path, run, row))
     lines = []
-    for path, dataset, wm_row in kinds["wm"]:
-        clean = [row for _, d, row in kinds["clean"] if d == dataset]
+    for path, run, wm_row in kinds["wm"]:
+        clean = [row for _, r, row in kinds["clean"] if r == run]
         if len(clean) != 1:
-            return _fail("unpaired_run", f"{path}: {len(clean)} clean runs on its dataset")
+            return _fail("unpaired_run", f"{path}: {len(clean)} clean runs on its dataset+pathway")
         lines.append(f"{clean[0]['auc_test']},{wm_row['auc_test']},{wm_row['auc_wm']}\n")
     path = args.out / "mainResults.csv"
     path.write_text("auc_test_clean,auc_test_wm,auc_wm_wm\n" + "".join(lines))

@@ -16,25 +16,21 @@ class NonFiniteLoss(RuntimeError):
         super().__init__(f"{method}: non-finite loss {loss} at epoch {epoch}")
 
 
-def _flatten(grads: dict, order) -> np.ndarray:
-    return np.concatenate([grads[name].ravel() for name in order])
-
-
 def fit(model: LinkPredictor, steps, epochs: int, learning_rate: float,
-        trainable: set | None = None, after_epoch=None) -> LinkPredictor:
+        trainable: slice | None = None, after_epoch=None) -> LinkPredictor:
     """The one training loop. Each epoch runs `steps` in order; a step is a
     (label, grad_fn) pair, where grad_fn(model) returns (loss, grads) and is
     followed by one Adam update through a single optimizer state. A
-    non-finite loss raises NonFiniteLoss under the step's label. `trainable`
-    restricts which tensors move; after_epoch(done) runs after each epoch
-    with the count of epochs finished."""
+    non-finite loss raises NonFiniteLoss under the step's label. `trainable`,
+    a slice of `model.flat`, restricts which entries move; after_epoch(done)
+    runs after each epoch with the count of epochs finished."""
     opt = AdamState(learning_rate)
     for epoch in range(epochs):
         for label, grad_fn in steps:
             loss, grads = grad_fn(model)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(label, epoch, loss)
-            adam_step(opt, model.params, grads, trainable=trainable)
+            adam_step(opt, model.flat, grads, trainable=trainable)
         if after_epoch is not None:
             after_epoch(epoch + 1)
     return model
@@ -84,21 +80,15 @@ def embed_poison_baseline(model: LinkPredictor, train_batch, wm_batch,
     """Trigger samples merged into the training set: one update per epoch on
     the mean loss over the combined pool."""
     n_t, n_w = len(train_batch), len(wm_batch)
-    total = n_t + n_w
-
-    def merged(grads_t, grads_w):
-        return {name: (n_t * grads_t[name] + n_w * grads_w[name]) / total
-                for name in grads_t}
-    return _fit_combined(model, train_batch, wm_batch, cfg, "poison", merged)
+    return _fit_combined(model, train_batch, wm_batch, cfg, "poison",
+                         lambda grads_t, grads_w: (n_t * grads_t + n_w * grads_w) / (n_t + n_w))
 
 
 def embed_uniform_baseline(model: LinkPredictor, train_batch, wm_batch,
                            cfg: TrainConfig) -> LinkPredictor:
     """Single update per epoch on the summed losses (gradients added with
     unit weights)."""
-    def summed(grads_t, grads_w):
-        return {name: grads_t[name] + grads_w[name] for name in grads_t}
-    return _fit_combined(model, train_batch, wm_batch, cfg, "uniform", summed)
+    return _fit_combined(model, train_batch, wm_batch, cfg, "uniform", np.add)
 
 
 def min_norm_coefficient(g1: np.ndarray, g2: np.ndarray) -> float:
@@ -118,12 +108,14 @@ def min_norm_coefficient(g1: np.ndarray, g2: np.ndarray) -> float:
 def embed_mgda_baseline(model: LinkPredictor, train_batch, wm_batch,
                         cfg: TrainConfig) -> LinkPredictor:
     """Per epoch, step along the min-norm convex combination of the two task
-    gradients."""
-    order = sorted(model.params)
+    gradients. The coefficient's dot products run over the tensors in sorted
+    name order, which fixes their rounding."""
+    index = model.views(np.arange(model.flat.size))
+    order = np.concatenate([index[name].ravel() for name in sorted(index)])
 
     def min_norm(grads_t, grads_w):
-        a1 = min_norm_coefficient(_flatten(grads_t, order), _flatten(grads_w, order))
-        return {n: a1 * grads_t[n] + (1.0 - a1) * grads_w[n] for n in order}
+        a1 = min_norm_coefficient(grads_t[order], grads_w[order])
+        return a1 * grads_t + (1.0 - a1) * grads_w
     return _fit_combined(model, train_batch, wm_batch, cfg, "mgda", min_norm)
 
 

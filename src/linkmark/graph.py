@@ -5,6 +5,7 @@ comment, and an optional first data line "N <num_nodes>" overrides the node
 count. Feature files hold one "id f1 ... fd" line per node.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,10 @@ class SelfLoopError(ValueError):
 
 class NoNegativesAvailable(ValueError):
     """Graph too dense to sample the requested number of non-edges."""
+
+
+# the most nodes an edge list may declare: pair keys u * n + v (u < v < n) then fit int64
+MAX_NODES = math.isqrt(2 ** 63 - 1)
 
 
 def _edge_rows(edges, num_nodes: int, what: str) -> np.ndarray:
@@ -159,40 +164,37 @@ class Subgraph:
 
 def load_edge_list(path) -> Graph:
     """Parse an edge-list file into a deduplicated undirected Graph."""
-    edges = []
-    max_id = -1
-    header_nodes = None
-    seen_data = False
+    edges, header_nodes = [], None
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
                 continue
-            tokens = line.split()
-            if not seen_data and tokens[0] == "N" and len(tokens) == 2:
-                try:
-                    header_nodes = int(tokens[1])
-                except ValueError:
-                    raise EdgeListParseError(line_no, raw.strip())
-                seen_data = True
+            if tokens[0] == "N" and len(tokens) == 2 and header_nodes is None and not edges:
+                header_nodes = _parse_count(tokens[1], MAX_NODES + 1, line_no, raw)
                 continue
-            seen_data = True
             if len(tokens) != 2:
                 raise EdgeListParseError(line_no, raw.strip())
-            try:
-                u, v = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise EdgeListParseError(line_no, raw.strip())
+            u, v = (_parse_count(t, MAX_NODES, line_no, raw) for t in tokens)
             if u == v:
                 raise SelfLoopError(line_no, u)
-            if u < 0 or v < 0:
-                raise EdgeListParseError(line_no, raw.strip())
             edges.append((u, v))
-            max_id = max(max_id, u, v)
+    max_id = max(map(max, edges), default=-1)
     num_nodes = header_nodes if header_nodes is not None else max_id + 1
     if max_id >= num_nodes:
         raise ValueError(f"edge endpoint {max_id} exceeds declared node count {num_nodes}")
     return Graph.from_edges(num_nodes, edges)
+
+
+def _parse_count(token: str, limit: int, line_no: int, raw: str) -> int:
+    """`token` as an int in [0, limit), else EdgeListParseError for the line."""
+    try:
+        value = int(token)
+    except ValueError:
+        value = -1
+    if not 0 <= value < limit:
+        raise EdgeListParseError(line_no, raw.strip())
+    return value
 
 
 def save_edge_list(g: Graph, path) -> None:
@@ -203,18 +205,18 @@ def save_edge_list(g: Graph, path) -> None:
 
 def load_features(path, num_nodes: int) -> np.ndarray:
     """Read "id f1 ... fd" rows; every node id must appear exactly once."""
-    rows = {}
-    dim = None
+    rows, dim = {}, None
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
                 continue
-            tokens = line.split()
             try:
                 node = int(tokens[0])
                 vals = [float(t) for t in tokens[1:]]
             except ValueError:
+                raise EdgeListParseError(line_no, raw.strip())
+            if not all(map(math.isfinite, vals)):
                 raise EdgeListParseError(line_no, raw.strip())
             if dim is None:
                 dim = len(vals)

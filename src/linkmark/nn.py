@@ -21,16 +21,18 @@ gradients) into arrays it keeps, which the kernel would otherwise map, fault
 in and zero afresh on every step. So one thread at a time may score a batch.
 `encode` and `score_pairs` serve single pairs and keep plain `@`.
 
-Checkpoint layout (all little-endian): magic b"GLPW1", one arch byte
-(0 = gcn, 1 = sage), u32 input dim, u32 hidden dim, then the raw f64 buffer
-of every parameter tensor in `param_names()` order. Shapes are implied by
-(arch, dims), so files round-trip bit exactly.
+A model's parameters, its gradients and Adam's moments are each one float64
+vector in `param_names()` order. Checkpoint layout (all little-endian): magic
+b"GLPW1", one arch byte (0 = gcn, 1 = sage), u32 input dim, u32 hidden dim,
+then the model's flat vector as raw f64. Shapes are implied by (arch, dims),
+so files round-trip bit exactly.
 """
 
 import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,18 +79,22 @@ def _layers(arch: str, kind: str) -> tuple:
                  for i in (1, 2, 3))
 
 
-def _param_shapes(arch: str, in_dim: int, hidden: int) -> dict:
+@lru_cache(maxsize=None)
+def _layout(arch: str, in_dim: int, hidden: int) -> tuple:
+    """(size, {name: (slice, shape)}): where each parameter lies in a flat
+    vector that holds them all in `param_names` order."""
     dims = [(in_dim, hidden)] + [(hidden, hidden)] * 4 + [(hidden, 2)]
-    shapes = {}
+    layout, end = {}, 0
     for (b, terms), (fi, fo) in zip(_layers(arch, "enc") + _layers(arch, "dec"), dims):
-        shapes.update({w: (fi, fo) for w, _ in terms})
-        shapes[b] = (fo,)
-    return shapes
+        for name, shape in [(w, (fi, fo)) for w, _ in terms] + [(b, (fo,))]:
+            layout[name] = (slice(end, end + math.prod(shape)), shape)
+            end += math.prod(shape)
+    return end, MappingProxyType(layout)
 
 
 def param_names(arch: str) -> list:
     """Canonical parameter order; checkpoints and pruning rely on it."""
-    return list(_param_shapes(arch, 0, 0))
+    return list(_layout(arch, 0, 0)[1])
 
 
 def _glorot(rng: np.random.Generator, shape) -> np.ndarray:
@@ -98,18 +104,27 @@ def _glorot(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
+# the last two entries of `param_names`, so the tail of a model's flat vector
 FINAL_LAYER = ("dec3_w", "dec3_b")
 
 
 class LinkPredictor:
-    """Encoder plus pair/subgraph decoder with an explicit parameter dict."""
+    """Encoder plus pair/subgraph decoder. All parameters live in the float64
+    vector `flat`; `params` maps each name to a view into it and is read-only,
+    so a write goes through the view (`params[name][...] = x`) and stays in `flat`."""
 
-    def __init__(self, arch: str, in_dim: int, hidden_dim: int, params: dict):
-        _layers(arch, "enc")
-        self.arch = arch
-        self.in_dim = in_dim
-        self.hidden_dim = hidden_dim
-        self.params = params
+    def __init__(self, arch: str, in_dim: int, hidden_dim: int, flat: np.ndarray):
+        self.arch, self.in_dim, self.hidden_dim = arch, in_dim, hidden_dim
+        self.flat = np.asarray(flat, dtype=np.float64)
+        self.params = self.views(self.flat)
+
+    def views(self, vec: np.ndarray) -> MappingProxyType:
+        """Named views into `vec`, any vector laid out like `flat`."""
+        size, layout = _layout(self.arch, self.in_dim, self.hidden_dim)
+        if vec.shape != (size,):
+            raise ValueError(f"vector of shape {vec.shape} for a model of {size} parameters")
+        return MappingProxyType({name: vec[s].reshape(shape)
+                                 for name, (s, shape) in layout.items()})
 
     @classmethod
     def init(cls, arch: str, in_dim: int, hidden_dim: int, seed: int,
@@ -118,35 +133,35 @@ class LinkPredictor:
         and zero biases. `scale` widens the init for fixtures where the
         default underfits within a fixed epoch budget."""
         rng = np.random.default_rng(seed)
-        shapes = _param_shapes(arch, in_dim, hidden_dim)
-        params = {name: scale * _glorot(rng, shapes[name]) for name in param_names(arch)}
-        return cls(arch, in_dim, hidden_dim, params)
+        tensors = [scale * _glorot(rng, shape).ravel()
+                   for _, shape in _layout(arch, in_dim, hidden_dim)[1].values()]
+        return cls(arch, in_dim, hidden_dim, np.concatenate(tensors))
 
     def clone(self) -> "LinkPredictor":
-        return LinkPredictor(self.arch, self.in_dim, self.hidden_dim,
-                             {k: v.copy() for k, v in self.params.items()})
+        return LinkPredictor(self.arch, self.in_dim, self.hidden_dim, self.flat.copy())
+
+    def __reduce__(self):  # pickle rebuilds `params` from `flat`: a mapping proxy won't pickle
+        return LinkPredictor, (self.arch, self.in_dim, self.hidden_dim, self.flat)
 
     def reinit_final_layer(self, seed: int) -> None:
         rng = np.random.default_rng(seed)
-        shapes = _param_shapes(self.arch, self.in_dim, self.hidden_dim)
         for name in FINAL_LAYER:
-            self.params[name] = _glorot(rng, shapes[name])
+            self.params[name][...] = _glorot(rng, self.params[name].shape)
 
     def weight_names(self) -> list:
         """Weight matrices only (biases exempt from magnitude pruning)."""
         return [n for n in param_names(self.arch) if not n.endswith("_b")]
 
     def save(self, path) -> None:
+        header = CHECKPOINT_MAGIC + struct.pack("<BII", list(ARCHS).index(self.arch),
+                                                self.in_dim, self.hidden_dim)
         with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC + struct.pack("<BII", list(ARCHS).index(self.arch),
-                                                    self.in_dim, self.hidden_dim))
-            for name in param_names(self.arch):
-                fh.write(np.ascontiguousarray(self.params[name], dtype="<f8").tobytes())
+            fh.write(header + self.flat.astype("<f8").tobytes())
 
     @classmethod
     def load(cls, path) -> "LinkPredictor":
-        """Inverse of save. A short header, an unknown arch code, or tensor bytes
-        that differ from the declared dims raise ValueError before allocating."""
+        """Inverse of save. A short header, an unknown arch code, or a body
+        that differs from the declared dims raise ValueError before allocating."""
         with open(path, "rb") as fh:
             cur = Cursor(fh.read(), "checkpoint")
         if cur.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
@@ -155,11 +170,9 @@ class LinkPredictor:
         if code >= len(ARCHS):
             raise ValueError(f"unknown arch code {code} in checkpoint")
         arch = list(ARCHS)[code]
-        shapes = _param_shapes(arch, in_dim, hidden)
-        params = {name: cur.array("<f8", math.prod(shapes[name])).reshape(shapes[name])
-                  for name in param_names(arch)}
+        flat = cur.array("<f8", _layout(arch, in_dim, hidden)[0])
         cur.finish()
-        return cls(arch, in_dim, hidden, params)
+        return cls(arch, in_dim, hidden, flat)
 
 
 def gcn_propagation(adjacency: sp.spmatrix) -> sp.csr_matrix:
@@ -212,20 +225,20 @@ def _forward(model: LinkPredictor, kind: str, x: np.ndarray, prop=None, ws=None)
     return h, cache
 
 
-def _backward(model: LinkPredictor, cache: list, dh: np.ndarray, grads: dict, ws: dict,
-              prop_t=None, input_grad: bool = True):
+def _backward(model: LinkPredictor, cache: list, dh: np.ndarray, grads: MappingProxyType,
+              ws: dict, prop_t=None, input_grad: bool = True):
     """Backprop dh = d(loss)/d(output) through a `_forward` cache; accumulates
-    the parameter gradients into `grads` and returns the input's (None unless
-    `input_grad`). Layer i's input gradient is formed in workspace delta i % 2,
-    so the decoder's is delta 0 and delta 1 is then free."""
+    the parameter gradients into the named views `grads` and returns the input's
+    (None unless `input_grad`). Layer i's input gradient is formed in workspace
+    delta i % 2, so the decoder's is delta 0 and delta 1 is then free."""
     p = model.params
     for i, (b, terms, h, agg, a) in reversed(list(enumerate(cache))):
         if i < 2:
             dh *= a > 0  # the ReLU output is positive exactly where its input is
-        grads[b] += dh.sum(axis=0)
+        np.add(grads[b], dh.sum(axis=0), out=grads[b])
         d_in = None
         for w, propagated in terms:
-            grads[w] += (agg if propagated else h).T @ dh
+            np.add(grads[w], (agg if propagated else h).T @ dh, out=grads[w])
             if i == 0 and not input_grad:
                 continue
             d = np.matmul(dh, p[w].T, out=_slot(
@@ -271,9 +284,7 @@ def nll_loss(logits: np.ndarray, labels: np.ndarray):
         raise ValueError("logits must be N x C with one label per row")
     if np.any((labels < 0) | (labels >= logits.shape[1])):
         raise ValueError("labels out of range")
-    targets = np.zeros_like(logits)
-    targets[np.arange(len(labels)), labels] = 1.0
-    return cross_entropy(logits, targets)
+    return cross_entropy(logits, np.eye(logits.shape[1])[labels])
 
 
 def cross_entropy(logits: np.ndarray, targets: np.ndarray, n: int | None = None):
@@ -405,20 +416,20 @@ def loss_and_grads(model: LinkPredictor, batch, targets: np.ndarray | None = Non
     """Full-batch loss and exact parameter gradients, one segment at a time.
 
     `targets` overrides the batch's one-hot labels with an arbitrary
-    distribution per example. Returns (loss, grads) or, when
-    `with_feature_grads` is set, (loss, grads, d_features) with one row per
-    row of the segments' stacked features.
+    distribution per example. Returns (loss, grads), grads a new vector laid
+    out like `model.flat`, or, when `with_feature_grads` is set, (loss, grads,
+    d_features) with one row per row of the segments' stacked features.
     """
     if targets is None:
         targets = batch.onehot_targets()
-    grads = {name: np.zeros_like(val) for name, val in model.params.items()}
-    total, d_features, ws = 0.0, [], batch._workspace
+    grads = np.zeros_like(model.flat)
+    views, total, d_features, ws = model.views(grads), 0.0, [], batch._workspace
     for prop, features, readout, rows, prop_t, readout_t in batch.segments(model.arch):
         enc, factors, (logits, dec) = _segment_forward(model, prop, features, readout, rows,
                                                        ws=ws)
         loss, d_logits = cross_entropy(logits, targets[rows], len(batch))
         total += loss
-        dx = _backward(model, dec, d_logits, grads, ws)
+        dx = _backward(model, dec, d_logits, views, ws)
         # an endpoint's gradient is dx times the other endpoint (written over the factors
         # through the free delta), a pooled block's is dx; readout.T scatters them to nodes
         if len(factors) == 2:
@@ -428,44 +439,44 @@ def loss_and_grads(model: LinkPredictor, batch, targets: np.ndarray | None = Non
         else:
             factors = dx[None]
         d_emb = readout_t @ factors.reshape(-1, dx.shape[1])
-        d_in = _backward(model, enc[1], d_emb, grads, ws, prop_t, with_feature_grads)
+        d_in = _backward(model, enc[1], d_emb, views, ws, prop_t, with_feature_grads)
         if with_feature_grads:
             d_features.append(d_in.copy())  # the next segment reuses the workspace
     return (total, grads, np.vstack(d_features)) if with_feature_grads else (total, grads)
 
 
 class AdamState:
-    """Per-parameter first/second moments, a shared step counter, and the
-    learning rate. One instance per training task."""
+    """First/second moment vectors laid out like the parameters, a shared
+    step counter, and the learning rate. One instance per training task."""
 
     def __init__(self, learning_rate: float = 1e-3):
         self.learning_rate = learning_rate
         self.step_count = 0
-        self.m: dict = {}
-        self.v: dict = {}
+        self.m = self.v = None
 
 
-def adam_step(state: AdamState, params: dict, grads: dict,
-              trainable: set | None = None) -> None:
-    """Standard Adam update in place. `trainable` restricts which tensors
-    move (frozen ones keep their moment state untouched)."""
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
+              trainable: slice | None = None) -> None:
+    """Standard Adam update of the vector `params` in place. `trainable`
+    restricts which entries move; the moments outside it stay untouched."""
+    if grads.shape != params.shape:
+        raise ValueError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
     state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - ADAM_BETA1 ** t
-    bc2 = 1.0 - ADAM_BETA2 ** t
-    for name, g in grads.items():
-        if trainable is not None and name not in trainable:
-            continue
-        if g.shape != params[name].shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(params[name])
-            state.v[name] = np.zeros_like(params[name])
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        params[name] -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    bc1 = 1.0 - ADAM_BETA1 ** state.step_count
+    bc2 = 1.0 - ADAM_BETA2 ** state.step_count
+    sel = slice(None) if trainable is None else trainable
+    p, g, m, v = (x[sel] for x in (params, grads, state.m, state.v))
+    a, b = np.empty((2,) + p.shape)  # scratch; holding it between steps would raise peak RSS
+    # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*(g*g)
+    np.add(np.multiply(m, ADAM_BETA1, out=m), np.multiply(g, 1.0 - ADAM_BETA1, out=a), out=m)
+    np.multiply(np.multiply(g, g, out=a), 1.0 - ADAM_BETA2, out=a)
+    np.add(np.multiply(v, ADAM_BETA2, out=v), a, out=v)
+    # params -= lr * m_hat / (sqrt(v_hat) + eps)
+    np.multiply(np.divide(m, bc1, out=a), state.learning_rate, out=a)
+    np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
+    np.subtract(p, np.divide(a, b, out=a), out=p)
 
 
 def evaluate_auc(model: LinkPredictor, batch) -> float:

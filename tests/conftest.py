@@ -79,7 +79,7 @@ def edge_set(edges) -> set:
 def random_params(model, rng, scale=0.5):
     """Generic (kink-free with the chosen seeds) parameters for FD checks."""
     for name in model.params:
-        model.params[name] = rng.normal(0.0, scale, size=model.params[name].shape)
+        model.params[name][...] = rng.normal(0.0, scale, size=model.params[name].shape)
     return model
 
 
@@ -87,6 +87,7 @@ def finite_difference_grads(model, batch, step=1e-5):
     from linkmark.nn import loss_and_grads
 
     _, grads = loss_and_grads(model, batch)
+    grads = model.views(grads)
     numeric = {}
     for name in grads:
         flat = model.params[name].ravel()

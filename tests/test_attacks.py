@@ -5,7 +5,7 @@ import linkmark as lm
 from linkmark.attacks import (attack_verdict, attacker_split, make_report,
                               piracy_embed)
 from linkmark.embed import NonFiniteLoss
-from linkmark.nn import FINAL_LAYER, batch_logits, softmax
+from linkmark.nn import FINAL_LAYER, adam_step, batch_logits, softmax
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +26,26 @@ class TestFinetune:
         frozen = [k for k in out.params if k not in FINAL_LAYER]
         assert params_equal(out, watermarked_model, frozen)
         assert not params_equal(out, watermarked_model, list(FINAL_LAYER))
+
+    def test_ftll_leaves_frozen_entries_and_moments_untouched(self, watermarked_model,
+                                                               attack_halves, monkeypatch):
+        from linkmark import embed as embed_mod
+
+        states = []
+
+        def spy(state, params, grads, trainable=None):
+            states.append(state)
+            return adam_step(state, params, grads, trainable=trainable)
+
+        monkeypatch.setattr(embed_mod, "adam_step", spy)
+        out = lm.finetune(watermarked_model, attack_halves[0], "FTLL", epochs=3, seed=1)
+        tail = sum(out.params[k].size for k in FINAL_LAYER)
+        frozen = slice(0, out.flat.size - tail)
+        assert out.flat[frozen].tobytes() == watermarked_model.flat[frozen].tobytes()
+        state = states[-1]
+        assert len(states) == 3 and state.step_count == 3
+        assert state.m[frozen].tobytes() == state.v[frozen].tobytes() == bytes(8 * frozen.stop)
+        assert state.m[frozen.stop:].any() and state.v[frozen.stop:].any()
 
     def test_rtal_zero_epochs_changes_only_final_layer(self, watermarked_model,
                                                        attack_halves):
@@ -77,13 +97,13 @@ class TestPrune:
 
     def test_ranks_by_absolute_value(self):
         model = lm.LinkPredictor.init("gcn", 2, 3, seed=0)
-        # place a known 4-entry tensor and make every other weight larger
+        # place a known 4-entry block and make every other weight larger
         for k in model.weight_names():
             model.params[k][:] = 100.0
-        model.params["dec3_w"] = np.array([[-3.0, 1.0], [-2.0, 4.0]])
+        model.params["dec3_w"][:2] = np.array([[-3.0, 1.0], [-2.0, 4.0]])
         total = sum(model.params[k].size for k in model.weight_names())
         out = lm.prune(model, 2.0 / total)
-        assert np.array_equal(out.params["dec3_w"], [[-3.0, 0.0], [0.0, 4.0]])
+        assert np.array_equal(out.params["dec3_w"][:2], [[-3.0, 0.0], [0.0, 4.0]])
 
     def test_biases_exempt(self, watermarked_model):
         out = lm.prune(watermarked_model, 1.0)
@@ -117,15 +137,15 @@ class TestQuantize:
 
     def test_eight_levels_recover_integer_grid(self):
         model = lm.LinkPredictor.init("gcn", 2, 2, seed=2)
-        model.params["dec1_w"] = np.arange(8.0).reshape(2, 4)[:, :2].copy()
+        model.params["dec1_w"][...] = np.arange(8.0).reshape(2, 4)[:, :2].copy()
         grid = np.arange(8.0).reshape(4, 2)
-        model.params["enc1_w"] = grid[:2].copy()
+        model.params["enc1_w"][...] = grid[:2].copy()
         tensor = np.arange(8.0)
-        model.params["dec1_b"] = tensor[:2].copy()
+        model.params["dec1_b"][...] = tensor[:2].copy()
         out = lm.quantize(model, bits=3)
         # a tensor whose values already sit on the 8-level grid is exact
         full = lm.LinkPredictor.init("gcn", 8, 8, seed=3)
-        full.params["enc1_b"] = np.arange(8.0)
+        full.params["enc1_b"][...] = np.arange(8.0)
         q = lm.quantize(full, bits=3)
         assert np.array_equal(q.params["enc1_b"], np.arange(8.0))
 

@@ -444,6 +444,27 @@ class TestReport:
         assert lines[1:] == ["0.51,0.488,0.616",
                              f"{clean['auc_test']},{wm['auc_test']},{wm['auc_wm']}"]
 
+    def test_runs_on_another_pathway_do_not_pair(self, pipeline, tmp_path, capsys):
+        # a node-rep clean eval, and a subgraph-pathway eval with --wm of the
+        # same dataset and checkpoint: equal `inputs.dataset`, other pathway
+        out, _ = pipeline
+        runs, sg_cfg = tmp_path / "runs", tmp_path / "sg.json"
+        sg_cfg.write_text(json.dumps({"pathway": "subgraph", "hops": 1}))
+        base = ["eval", "--dataset", str(out / "dataset.npz"),
+                "--checkpoint", str(out / "model.ckpt")]
+        assert main(base + ["--out", str(runs / "clean")]) == 0
+        assert main(base + ["--out", str(runs / "sg"), "--wm", str(out / "trigger.gwm"),
+                            "--config", str(sg_cfg)]) == 0
+        manifests = [json.loads((runs / name / "eval_manifest.json").read_text())
+                     for name in ("clean", "sg")]
+        assert manifests[0]["inputs"]["dataset"] == manifests[1]["inputs"]["dataset"]
+        assert [m["params"]["pathway"] for m in manifests] == ["node_rep", "subgraph"]
+        assert [m["params"]["hops"] for m in manifests] == [None, 1]
+        capsys.readouterr()
+        assert main(["report", "--out", str(tmp_path), "--runs", str(runs)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "unpaired_run" and "sg" in err["message"]
+
     def test_two_clean_runs_on_one_dataset_are_refused(self, tmp_path, capsys):
         runs = tmp_path / "runs"
         for name, auc in (("clean_a", 0.71), ("clean_b", 0.69)):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linkmark as lm
-from linkmark.graph import (SPLITS, EdgeListParseError, NoNegativesAvailable,
+from linkmark.graph import (MAX_NODES, SPLITS, EdgeListParseError, NoNegativesAvailable,
                             SelfLoopError, load_dataset, load_features,
                             save_dataset, save_edge_list)
 
@@ -52,6 +52,17 @@ class TestLoadEdgeList:
         with pytest.raises(ValueError):
             lm.load_edge_list(write(tmp_path, "N 3\n0 5\n"))
 
+    def test_node_count_past_int64_pair_keys_rejected(self, tmp_path):
+        # pair keys u * n + v wrap in int64 once n * n > 2**63 - 1
+        with pytest.raises(EdgeListParseError) as exc:
+            lm.load_edge_list(write(tmp_path, "# big\nN 10000000000\n0 1\n"))
+        assert exc.value.line_no == 2 and "N 10000000000" in str(exc.value)
+        with pytest.raises(EdgeListParseError) as exc:
+            lm.load_edge_list(write(tmp_path, "0 1\n1 10000000000\n"))
+        assert exc.value.line_no == 2
+        assert lm.load_edge_list(write(tmp_path, f"N {MAX_NODES}\n0 1\n")).num_nodes == MAX_NODES
+        assert MAX_NODES ** 2 <= np.iinfo(np.int64).max < (MAX_NODES + 1) ** 2
+
     def test_roundtrip(self, tmp_path):
         g = lm.generate_sbm(2, 6, 0.5, 0.1, seed=3)
         path = tmp_path / "rt.edges"
@@ -67,6 +78,15 @@ def test_load_features(tmp_path):
     assert np.allclose(feats, [[1.0, 2.0], [0.5, -0.25]])
     with pytest.raises(ValueError):
         load_features(path, 3)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_load_features_rejects_non_finite(tmp_path, value):
+    path = tmp_path / "f.features"
+    path.write_text(f"0 1.0 2.0\n1 0.5 {value}\n")
+    with pytest.raises(EdgeListParseError) as exc:
+        load_features(path, 2)
+    assert exc.value.line_no == 2 and value in str(exc.value)
 
 
 class TestGenerateSbm:

@@ -1,3 +1,4 @@
+import pickle
 import struct
 import subprocess
 import sys
@@ -212,7 +213,7 @@ class TestBackward:
     def test_all_gradients_finite(self, toy_batches):
         model = lm.LinkPredictor.init("gcn", 16, 8, seed=12)
         _, grads = loss_and_grads(model, toy_batches["train"])
-        assert all(np.all(np.isfinite(g)) for g in grads.values())
+        assert np.all(np.isfinite(grads))
 
     def test_receptive_field_feature_grads_zero(self):
         # 10-node path, one scored pair at the left end: nodes more than
@@ -318,11 +319,10 @@ class TestWorkspace:
                 want_loss, want_grads, want_d = loss_and_grads(model, make_batch(30),
                                                                with_feature_grads=True)
                 assert loss == want_loss
-                assert grads.keys() == want_grads.keys()
-                assert all(same_bits(grads[name], want_grads[name]) for name in grads)
+                assert same_bits(grads, want_grads)
                 assert same_bits(d_features, want_d)
                 assert same_bits(logits, batch_logits(model, make_batch(30)))
-                returned += [(a, a.copy()) for a in (*grads.values(), d_features, logits)]
+                returned += [(a, a.copy()) for a in (grads, d_features, logits)]
         # later calls on the shared batch leave every returned array as it was
         assert all(same_bits(a, snapshot) for a, snapshot in returned)
 
@@ -365,17 +365,17 @@ class TestAdam:
         model = lm.LinkPredictor.init("gcn", 4, 6, seed=20)
         before = {k: v.copy() for k, v in model.params.items()}
         state = AdamState(1e-3)
-        adam_step(state, model.params, {k: np.zeros_like(v) for k, v in before.items()})
+        adam_step(state, model.flat, np.zeros_like(model.flat))
         assert all(np.array_equal(model.params[k], before[k]) for k in before)
 
     def test_first_step_magnitude(self):
         # bias-corrected first step equals lr * sign(g) up to eps rounding
-        params = {"w": np.array([1.0, -2.0, 3.0])}
-        grads = {"w": np.array([0.5, -0.1, 2.0])}
+        params = np.array([1.0, -2.0, 3.0])
+        grads = np.array([0.5, -0.1, 2.0])
         state = AdamState(1e-3)
         adam_step(state, params, grads)
-        delta = params["w"] - np.array([1.0, -2.0, 3.0])
-        assert np.allclose(delta, -1e-3 * np.sign(grads["w"]), atol=1e-9)
+        delta = params - np.array([1.0, -2.0, 3.0])
+        assert np.allclose(delta, -1e-3 * np.sign(grads), atol=1e-9)
 
     def test_bitwise_determinism_after_ten_steps(self, toy_batches):
         runs = []
@@ -384,9 +384,47 @@ class TestAdam:
             state = AdamState(1e-3)
             for _ in range(10):
                 _, grads = loss_and_grads(model, toy_batches["train"])
-                adam_step(state, model.params, grads)
+                adam_step(state, model.flat, grads)
             runs.append(model.params)
         assert all(np.array_equal(runs[0][k], runs[1][k]) for k in runs[0])
+
+
+class TestFlatVector:
+    @pytest.mark.parametrize("arch", ["gcn", "sage"])
+    def test_params_are_read_only_views_of_flat(self, arch):
+        model = lm.LinkPredictor.init(arch, 3, 5, seed=22)
+        assert model.flat.shape == (sum(p.size for p in model.params.values()),)
+        assert list(model.params) == nn.param_names(arch)
+        assert all(np.shares_memory(p, model.flat) for p in model.params.values())
+        with pytest.raises(TypeError):
+            model.params["enc1_b"] = np.ones(5)
+        model.params["enc1_b"][...] = 7.0  # writes go through the view
+        assert np.count_nonzero(model.flat == 7.0) == 5
+
+    def test_clone_shares_no_memory(self):
+        model = lm.LinkPredictor.init("sage", 3, 5, seed=23)
+        copy = model.clone()
+        assert not np.shares_memory(copy.flat, model.flat)
+        assert not any(np.shares_memory(a, b) for a in copy.params.values()
+                       for b in model.params.values())
+        assert copy.flat.tobytes() == model.flat.tobytes()
+
+    def test_pickle_roundtrip_keeps_views_on_flat(self):
+        model = lm.LinkPredictor.init("gcn", 3, 5, seed=25)
+        back = pickle.loads(pickle.dumps(model))
+        assert (back.arch, back.in_dim, back.hidden_dim) == ("gcn", 3, 5)
+        assert back.flat.tobytes() == model.flat.tobytes()
+        assert all(np.shares_memory(p, back.flat) for p in back.params.values())
+
+    def test_gradients_share_the_layout(self, toy_batches):
+        model = lm.LinkPredictor.init("gcn", 16, 8, seed=24)
+        _, grads = loss_and_grads(model, toy_batches["train"])
+        views = model.views(grads)
+        assert grads.shape == model.flat.shape and not np.shares_memory(grads, model.flat)
+        assert all(views[n].shape == model.params[n].shape and np.shares_memory(views[n], grads)
+                   for n in model.params)
+        with pytest.raises(ValueError):
+            model.views(grads[:-1])
 
 
 class TestClassifySubgraph:
@@ -453,7 +491,7 @@ def test_loss_non_increasing_on_separable_toy(toy_batches):
     for _ in range(20):
         loss, grads = loss_and_grads(model, toy_batches["train"])
         losses.append(loss)
-        adam_step(state, model.params, grads)
+        adam_step(state, model.flat, grads)
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
