@@ -313,6 +313,7 @@ def cmd_serve(args, s) -> int:
     for line in sys.stdin:
         if line.strip():
             print(session.handle_line(line.strip()), flush=True)
+    sys.stderr.write(json.dumps(session.counts) + "\n")
     return EXIT_OK
 
 

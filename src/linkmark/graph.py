@@ -18,6 +18,12 @@ class EdgeListParseError(ValueError):
         self.line_no = line_no
 
 
+class FeatureParseError(ValueError):
+    def __init__(self, line_no: int, text: str, why: str = "not numbers"):
+        super().__init__(f"line {line_no}: cannot parse feature row {text.strip()!r} ({why})")
+        self.line_no = line_no
+
+
 class SelfLoopError(ValueError):
     def __init__(self, line_no: int, node: int):
         super().__init__(f"line {line_no}: self-loop on node {node}")
@@ -215,15 +221,14 @@ def load_features(path, num_nodes: int) -> np.ndarray:
                 node = int(tokens[0])
                 vals = [float(t) for t in tokens[1:]]
             except ValueError:
-                raise EdgeListParseError(line_no, raw.strip())
+                raise FeatureParseError(line_no, raw)
+            dim = len(vals) if dim is None else dim
             if not all(map(math.isfinite, vals)):
-                raise EdgeListParseError(line_no, raw.strip())
-            if dim is None:
-                dim = len(vals)
-            elif len(vals) != dim:
-                raise ValueError(f"line {line_no}: expected {dim} features, got {len(vals)}")
+                raise FeatureParseError(line_no, raw, "non-finite value")
+            if len(vals) != dim:
+                raise FeatureParseError(line_no, raw, f"expected {dim} features, got {len(vals)}")
             if node in rows or not 0 <= node < num_nodes:
-                raise ValueError(f"line {line_no}: bad or repeated node id {node}")
+                raise FeatureParseError(line_no, raw, f"bad or repeated node id {node}")
             rows[node] = vals
     if len(rows) != num_nodes:
         raise ValueError(f"feature file covers {len(rows)} of {num_nodes} nodes")

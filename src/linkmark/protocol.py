@@ -10,13 +10,14 @@ by file permissions and this module's narrow interface.
 
 import fcntl
 import json
+import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph, build_subgraph_dataset, split_links
-from .nn import LinkPredictor, softmax
+from .nn import LinkPredictor, encode, score_pairs, softmax
 from .stats import dwt_threshold
 from .util import derive_seed, sha256_file, sha256_hex
 from .watermark import (NodeRepWatermark, gen_node_rep_wm, gen_subgraph_wm,
@@ -58,18 +59,12 @@ class WmParams:
 
 
 def read_board(board_path) -> list:
-    records = []
     try:
         with open(board_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                doc = json.loads(line)
-                records.append(BulletinRecord(float(doc["ts"]), doc["hash"], doc["who"]))
+            docs = [json.loads(line) for line in fh if line.strip()]
     except FileNotFoundError:
-        pass
-    return records
+        return []
+    return [BulletinRecord(float(d["ts"]), d["hash"], d["who"]) for d in docs]
 
 
 def _append_record(board_path, wm_hash: str, who: str) -> BulletinRecord:
@@ -104,8 +99,7 @@ def register(graph: Graph, params: WmParams, board_path, who: str, seed: int):
     hand the watermark back to the owner."""
     wm = generate_watermark(graph, params, seed)
     wm_hash = sha256_hex(serialize_wm(wm))
-    record = _append_record(board_path, wm_hash, who)
-    return wm, record
+    return wm, _append_record(board_path, wm_hash, who)
 
 
 def dispute(board_path, wm, suspect: LinkPredictor, clean_aucs, wm_aucs,
@@ -120,20 +114,24 @@ def dispute(board_path, wm, suspect: LinkPredictor, clean_aucs, wm_aucs,
     """
     wm_hash = sha256_hex(serialize_wm(wm))
     ckpt_hash = sha256_file(checkpoint_path) if checkpoint_path else ""
+    nan = float("nan")
     if claimed_hash is not None and wm_hash != claimed_hash:
-        return Verdict("defendant", "hash_mismatch", float("nan"), float("nan"),
-                       wm_hash, ckpt_hash)
-    records = read_board(board_path)
-    if not any(r.wm_hash == wm_hash for r in records):
-        return Verdict("defendant", "no_record", float("nan"), float("nan"),
-                       wm_hash, ckpt_hash)
+        return Verdict("defendant", "hash_mismatch", nan, nan, wm_hash, ckpt_hash)
+    if not any(r.wm_hash == wm_hash for r in read_board(board_path)):
+        return Verdict("defendant", "no_record", nan, nan, wm_hash, ckpt_hash)
     report = dwt_threshold(clean_aucs, wm_aucs, n=n, gamma=gamma, seed=seed)
     score = watermark_auc(suspect, wm)
-    if score > report.threshold:
-        return Verdict("plaintiff", "auc_above_t", report.threshold, score,
-                       wm_hash, ckpt_hash)
-    return Verdict("defendant", "auc_below_t", report.threshold, score,
-                   wm_hash, ckpt_hash)
+    winner, reason = (("plaintiff", "auc_above_t") if score > report.threshold
+                      else ("defendant", "auc_below_t"))
+    return Verdict(winner, reason, report.threshold, score, wm_hash, ckpt_hash)
+
+
+class ServeError(ValueError):
+    """A query the endpoint refuses; `code` is its `err <code>` reply."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 class ServeSession:
@@ -142,20 +140,27 @@ class ServeSession:
     With the defense enabled, queries landing on an internal pair of the
     trigger node subset come back inverted, so an adversary sweeping the
     endpoint reconstructs the original graph rather than the flipped one.
+
+    The first query with lower endpoint `a` scores all pairs (a, b > a) in one
+    `score_pairs` call and keeps their probabilities; later queries on that row
+    index it. Rows hold at most `ROW_CACHE_FLOATS` floats in all, and past the
+    cap a query is scored alone. `counts` tallies the answers, each `err` code,
+    and the cache's hits, misses and over-cap fallbacks.
     """
+
+    ROW_CACHE_FLOATS = 1 << 22
 
     def __init__(self, model: LinkPredictor, adjacency, features,
                  wm: NodeRepWatermark | None = None, defense: bool = False):
         if defense and wm is None:
             raise ValueError("defense requires the watermark")
-        from .nn import encode, score_pairs
-
         self.model = model
-        self._score_pairs = score_pairs
         # the graph state is fixed for the session, so encode once
-        self.embeddings = encode(model, adjacency.tocsr(),
-                                 np.asarray(features, dtype=float))
+        self.embeddings = encode(model, adjacency.tocsr(), np.asarray(features, dtype=float))
         self.flip_pairs = wm.internal_pair_set() if (defense and wm) else frozenset()
+        self._rows, self._cached = {}, 0
+        self.counts = dict.fromkeys(("answered", "err_parse", "err_range", "err_self_pair",
+                                     "row_hits", "row_misses", "row_over_cap"), 0)
 
     @classmethod
     def for_watermark(cls, model: LinkPredictor, wm: NodeRepWatermark,
@@ -163,27 +168,46 @@ class ServeSession:
         """Serve the deployed (watermarked) graph state."""
         return cls(model, wm.adjacency(), wm.features, wm=wm, defense=defense)
 
+    def _p_pos(self, pairs) -> np.ndarray:
+        return softmax(score_pairs(self.model, self.embeddings, pairs))[:, 1].copy()
+
     def query(self, u: int, v: int):
-        """(exists, probability of the reported answer's positive class)."""
-        pair = np.array([[min(u, v), max(u, v)]])
-        logits = self._score_pairs(self.model, self.embeddings, pair)
-        p_pos = float(softmax(logits)[0, 1])
-        if (min(u, v), max(u, v)) in self.flip_pairs:
+        """(exists, probability of the reported answer's positive class). Ids
+        must be integers; a node outside [0, n) raises `ServeError` "range",
+        u == v "self_pair"."""
+        n, u, v = len(self.embeddings), operator.index(u), operator.index(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ServeError("range", f"node outside [0, {n}) in ({u}, {v})")
+        if u == v:
+            raise ServeError("self_pair", f"self pair ({u}, {v})")
+        a, b = (u, v) if u < v else (v, u)
+        row = self._rows.get(a)
+        tally = "row_hits" if row is not None else "row_over_cap"
+        if row is None and self._cached + n - 1 - a <= self.ROW_CACHE_FLOATS:
+            ends = np.arange(a + 1, n)
+            row = self._rows[a] = self._p_pos(np.column_stack((np.full_like(ends, a), ends)))
+            self._cached += len(row)
+            tally = "row_misses"
+        self.counts[tally] += 1
+        p_pos = float(row[b - a - 1] if row is not None else self._p_pos([[a, b]])[0])
+        if (a, b) in self.flip_pairs:
             p_pos = 1.0 - p_pos
-        return bool(p_pos > 0.5), p_pos
+        self.counts["answered"] += 1
+        return p_pos > 0.5, p_pos
 
     def handle_line(self, line: str) -> str:
         """Line protocol: query "u v", reply "1 <p>" or "0 <p>". A line that
-        is not two integers gets "err parse", a node outside [0, n) "err
-        range", and u == v "err self_pair"."""
+        is not two integers gets "err parse"; a query `query` refuses gets
+        "err <code>" of its `ServeError`."""
         try:
             u, v = (int(t) for t in line.split())
         except ValueError:
-            return "err parse"
-        n = len(self.embeddings)
-        if not (0 <= u < n and 0 <= v < n):
-            return "err range"
-        if u == v:
-            return "err self_pair"
-        exists, p = self.query(u, v)
-        return f"{int(exists)} {p:.6f}"
+            code = "parse"
+        else:
+            try:
+                exists, p = self.query(u, v)
+                return f"{int(exists)} {p:.6f}"
+            except ServeError as exc:
+                code = exc.code
+        self.counts["err_" + code] += 1
+        return "err " + code

@@ -143,6 +143,14 @@ class TestQuantize:
         tensor = np.arange(8.0)
         model.params["dec1_b"][...] = tensor[:2].copy()
         out = lm.quantize(model, bits=3)
+        for name in ("dec1_w", "enc1_w", "dec1_b"):
+            w, q = model.params[name], out.params[name]
+            lo, hi = w.min(), w.max()
+            assert q.min() == lo and q.max() == hi
+            k = (q - lo) / ((hi - lo) / 7)
+            assert np.allclose(k, np.round(k), rtol=0, atol=1e-9)
+            assert np.all((np.round(k) >= 0) & (np.round(k) <= 7))
+        assert np.array_equal(out.params["dec1_b"], [0.0, 1.0])
         # a tensor whose values already sit on the 8-level grid is exact
         full = lm.LinkPredictor.init("gcn", 8, 8, seed=3)
         full.params["enc1_b"][...] = np.arange(8.0)

@@ -526,6 +526,10 @@ class TestServeCommand:
         for line in (lines[0], lines[6]):
             bit, prob = line.split()
             assert bit in ("0", "1") and 0.0 <= float(prob) <= 1.0
+        assert len(lines) == 7
+        counts = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert counts == {"answered": 2, "err_parse": 2, "err_range": 2, "err_self_pair": 1,
+                          "row_hits": 0, "row_misses": 2, "row_over_cap": 0}
 
 
 def test_jobs_env_var_fallback(monkeypatch):

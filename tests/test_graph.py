@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linkmark as lm
-from linkmark.graph import (MAX_NODES, SPLITS, EdgeListParseError, NoNegativesAvailable,
-                            SelfLoopError, load_dataset, load_features,
-                            save_dataset, save_edge_list)
+from linkmark.graph import (MAX_NODES, SPLITS, EdgeListParseError, FeatureParseError,
+                            NoNegativesAvailable, SelfLoopError, load_dataset,
+                            load_features, save_dataset, save_edge_list)
 
 from conftest import edge_set
 
@@ -84,9 +84,26 @@ def test_load_features(tmp_path):
 def test_load_features_rejects_non_finite(tmp_path, value):
     path = tmp_path / "f.features"
     path.write_text(f"0 1.0 2.0\n1 0.5 {value}\n")
-    with pytest.raises(EdgeListParseError) as exc:
+    with pytest.raises(FeatureParseError) as exc:
         load_features(path, 2)
     assert exc.value.line_no == 2 and value in str(exc.value)
+    assert "cannot parse feature row" in str(exc.value)
+
+
+@pytest.mark.parametrize("text,line_no", [
+    ("0 1.0 2.0\n1 x 2.0\n", 2),       # not a number
+    ("0 1.0 2.0\n1 0.5\n", 2),         # wrong width
+    ("0 1.0 2.0\n0 0.5 0.5\n", 2),     # repeated id
+    ("# c\n5 1.0 2.0\n", 2),           # id out of range
+    ("-1 1.0 2.0\n", 1),               # negative id
+])
+def test_load_features_bad_rows_name_their_line(tmp_path, text, line_no):
+    path = tmp_path / "f.features"
+    path.write_text(text)
+    with pytest.raises(FeatureParseError) as exc:
+        load_features(path, 2)
+    assert exc.value.line_no == line_no
+    assert "cannot parse feature row" in str(exc.value)
 
 
 class TestGenerateSbm:

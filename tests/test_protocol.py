@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import linkmark as lm
-from linkmark.protocol import ServeSession, WmParams, dispute, read_board, register
+from linkmark.nn import encode, score_pairs, softmax
+from linkmark.protocol import (ServeError, ServeSession, WmParams, dispute, read_board,
+                               register)
 from linkmark.util import sha256_hex
 from linkmark.watermark import serialize_wm
 
@@ -185,3 +187,80 @@ class TestServe:
         session = ServeSession.for_watermark(watermarked_model, toy_watermark,
                                              defense=True)
         assert session.query(4, 11) == session.query(11, 4)
+
+    @staticmethod
+    def per_pair(model, wm, defense):
+        """Reference: (u, v) -> probability scored one pair at a time,
+        inverted on the internal pairs when defended."""
+        emb = encode(model, wm.adjacency(), wm.features)
+        flip = wm.internal_pair_set() if defense else frozenset()
+
+        def prob(u, v):
+            p = float(softmax(score_pairs(model, emb, [[u, v]]))[0, 1])
+            return 1.0 - p if (u, v) in flip else p
+        return prob
+
+    @pytest.mark.parametrize("defense", [True, False])
+    def test_row_cache_matches_per_pair_path(self, watermarked_model, toy_watermark,
+                                             defense):
+        session = ServeSession.for_watermark(watermarked_model, toy_watermark, defense)
+        want = self.per_pair(watermarked_model, toy_watermark, defense)
+        n = toy_watermark.num_nodes
+        for u, v in itertools.combinations(range(n), 2):
+            exists, p = session.query(v, u) if (u + v) % 2 else session.query(u, v)
+            assert p == pytest.approx(want(u, v), rel=0, abs=1e-12)
+            assert exists == (p > 0.5)
+        assert session.counts["row_misses"] == n - 1
+        assert session.counts["row_hits"] == n * (n - 1) // 2 - (n - 1)
+        assert session.counts["row_over_cap"] == 0
+
+    @pytest.mark.parametrize("cap", [0, 150, 1000])
+    def test_cache_stays_under_its_cap(self, monkeypatch, watermarked_model,
+                                       toy_watermark, cap):
+        monkeypatch.setattr(ServeSession, "ROW_CACHE_FLOATS", cap)
+        session = ServeSession.for_watermark(watermarked_model, toy_watermark, True)
+        want = self.per_pair(watermarked_model, toy_watermark, True)
+        pairs = list(itertools.combinations(range(toy_watermark.num_nodes), 2))
+        order = np.random.default_rng(0).permutation(len(pairs))
+        for i in order:
+            u, v = pairs[i]
+            p = session.query(u, v)[1]
+            assert sum(len(row) for row in session._rows.values()) <= cap
+            assert p == pytest.approx(want(u, v), rel=0, abs=1e-12)
+            if cap == 0:
+                assert p == want(u, v)  # the per-pair path, bit for bit
+        counts = session.counts
+        assert counts["row_over_cap"] > 0
+        assert counts["row_hits"] + counts["row_misses"] + counts["row_over_cap"] == len(pairs)
+        assert counts["row_misses"] == len(session._rows)
+
+    @pytest.mark.parametrize("u,v,code", [
+        (-1, 3, "range"), (3, -1, "range"), (100, 3, "range"), (3, 105, "range"),
+        (7, 7, "self_pair"),
+    ])
+    def test_query_raises_typed_error(self, watermarked_model, toy_watermark, u, v, code):
+        session = ServeSession.for_watermark(watermarked_model, toy_watermark, True)
+        assert toy_watermark.num_nodes == 100
+        with pytest.raises(ServeError) as exc:
+            session.query(u, v)
+        assert isinstance(exc.value, ValueError) and exc.value.code == code
+        assert session._rows == {} and session.counts["answered"] == 0
+
+    def test_query_refuses_non_integer_ids(self, watermarked_model, toy_watermark):
+        session = ServeSession.for_watermark(watermarked_model, toy_watermark, True)
+        with pytest.raises(TypeError):
+            session.query(1.5, 3)
+        assert session._rows == {}
+        assert session.query(np.int64(3), np.int64(1)) == session.query(1, 3)
+
+    def test_counters_add_up_to_lines_sent(self, watermarked_model, toy_watermark):
+        session = ServeSession.for_watermark(watermarked_model, toy_watermark, True)
+        lines = ["0 1", "1 0", "0 5", "3 9", "-1 3", "0 999", "a b", "1 2 3", "7",
+                 "1 1", "9 3", "4 4"]
+        replies = [session.handle_line(line) for line in lines]
+        assert sum(r.startswith("err") for r in replies) == 7
+        assert session.counts == {"answered": 5, "err_parse": 3, "err_range": 2,
+                                  "err_self_pair": 2, "row_hits": 3, "row_misses": 2,
+                                  "row_over_cap": 0}
+        errors = sum(v for k, v in session.counts.items() if k.startswith("err_"))
+        assert session.counts["answered"] + errors == len(lines)
