@@ -4,11 +4,14 @@ bulletin board, dispute resolution, and the adaptive serving defense.
 The board is a JSONL file, one record per line:
 ``{"ts": <utc seconds>, "hash": "<64 hex>", "who": "<registrant>"}``.
 Writes are serialized through an advisory file lock; disputes never write.
+A read parses only the lines appended since this process last read a prefix
+of the file (a new process parses it whole); the board is not tamper-evident.
 The judge runs in-process here; the trusted-execution assumption is simulated
 by file permissions and this module's narrow interface.
 """
 
 import fcntl
+import io
 import json
 import operator
 import time
@@ -22,6 +25,9 @@ from .stats import dwt_threshold
 from .util import derive_seed, sha256_file, sha256_hex
 from .watermark import (NodeRepWatermark, gen_node_rep_wm, gen_subgraph_wm,
                         serialize_wm, watermark_auc, watermark_vector)
+
+# (bytes, records, line count) of the last board read that ended in b"\n"
+_board_cache = (b"", (), 0)
 
 
 @dataclass(frozen=True)
@@ -58,13 +64,36 @@ class WmParams:
             raise ValueError(f"unknown pathway {self.pathway!r}")
 
 
-def read_board(board_path) -> list:
+class BoardFormatError(ValueError):
+    def __init__(self, line_no: int, text: str):
+        super().__init__(f"board line {line_no}: not a ts/hash/who record: {text.strip()[:80]!r}")
+        self.line_no = line_no
+
+
+def _parse_record(line_no: int, line: str) -> BulletinRecord:
     try:
-        with open(board_path) as fh:
-            docs = [json.loads(line) for line in fh if line.strip()]
+        d = json.loads(line)
+        ts, wm_hash, who = float(d["ts"]), d["hash"], d["who"]
+        if type(d["ts"]) in (int, float) and np.isfinite(ts) and str == type(wm_hash) == type(who):
+            return BulletinRecord(ts, wm_hash, who)
+    except (ValueError, TypeError, KeyError, OverflowError):
+        pass
+    raise BoardFormatError(line_no, line)
+
+
+def read_board(board_path) -> list:
+    global _board_cache
+    try:
+        with open(board_path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         return []
-    return [BulletinRecord(float(d["ts"]), d["hash"], d["who"]) for d in docs]
+    seen, records, lines = _board_cache if data.startswith(_board_cache[0]) else (b"", (), 0)
+    tail = list(io.TextIOWrapper(io.BytesIO(data[len(seen):])))
+    records += tuple(_parse_record(lines + i, t) for i, t in enumerate(tail, 1) if t.strip())
+    if data.endswith(b"\n"):
+        _board_cache = (data, records, lines + len(tail))
+    return list(records)
 
 
 def _append_record(board_path, wm_hash: str, who: str) -> BulletinRecord:

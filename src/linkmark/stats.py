@@ -214,18 +214,19 @@ def dwt_threshold(clean, watermarked, n: int, gamma: float, seed: int = 0) -> Th
     m = blocks_required(gamma)
     h_clean = silverman_bandwidth(clean)
     h_wm = silverman_bandwidth(wm)
-    rng = np.random.default_rng(seed)
-    clean_blocks = [kde_sample(clean, h_clean, n, rng) for _ in range(m)]
-    wm_blocks = [kde_sample(wm, h_wm, n, rng) for _ in range(m)]
-    highest_clean = max(b.max() for b in clean_blocks)
-    lowest_wm = min(b.min() for b in wm_blocks)
+    rng = np.random.default_rng(seed)  # one block at a time: only the extremes matter
+    highest_clean = max(kde_sample(clean, h_clean, n, rng).max() for _ in range(m))
+    lowest_wm = min(kde_sample(wm, h_wm, n, rng).min() for _ in range(m))
     if highest_clean < lowest_wm:
         # a threshold in the gap misclassifies nothing in any block, which
         # is exactly the zero-failure observation the certificate needs
         t = 0.5 * (highest_clean + lowest_wm)
         return ThresholdReport(float(t), n, m, gamma, [0.0] * m, [0.0] * m,
                                True, h_clean, h_wm)
-    # overlap: sweep pooled draws for the minimum total error
+    # overlap: redraw the same blocks, sweep pooled draws for the minimum total error
+    rng = np.random.default_rng(seed)
+    clean_blocks = [kde_sample(clean, h_clean, n, rng) for _ in range(m)]
+    wm_blocks = [kde_sample(wm, h_wm, n, rng) for _ in range(m)]
     all_clean = np.sort(np.concatenate(clean_blocks))
     all_wm = np.sort(np.concatenate(wm_blocks))
     candidates = np.unique(np.concatenate([all_clean, all_wm]))

@@ -321,6 +321,23 @@ class TestThresholdAndDispute:
         assert verdict["winner"] == "defendant"
         assert verdict["reason"] == "no_record"
 
+    def test_dispute_on_malformed_board_names_the_line(self, pipeline, tmp_path, capsys):
+        out, _ = pipeline
+        clean = tmp_path / "clean.csv"
+        wm_csv = tmp_path / "wm.csv"
+        clean.write_text("".join(f"{v}\n" for v in (0.2, 0.3, 0.35, 0.4)))
+        wm_csv.write_text("".join(f"{v}\n" for v in (0.9, 0.92, 0.95, 0.97)))
+        board = tmp_path / "board.jsonl"
+        board.write_text('{"ts": 1.0, "hash": "ab", "who": "a"}\n{"ts": 2.0, "hash": "cd"}\n')
+        rc = main(["dispute", "--out", str(tmp_path), "--board", str(board),
+                   "--wm", str(out / "trigger.gwm"), "--checkpoint",
+                   str(out / "model.ckpt"), "--clean-csv", str(clean),
+                   "--wm-csv", str(wm_csv), "--gamma", "0.95", "--n", "10000"])
+        assert rc == 1
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["error"] == "invalid_input" and "board line 2" in doc["message"]
+        assert not (tmp_path / "verdict.json").exists()
+
     def test_register_then_dispute_finds_record(self, pipeline, tmp_path):
         out, cfg = pipeline
         board = tmp_path / "board.jsonl"

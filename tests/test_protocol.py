@@ -1,14 +1,19 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import linkmark as lm
+from linkmark import protocol
 from linkmark.nn import encode, score_pairs, softmax
-from linkmark.protocol import (ServeError, ServeSession, WmParams, dispute, read_board,
-                               register)
+from linkmark.protocol import (BoardFormatError, ServeError, ServeSession, WmParams,
+                               dispute, read_board, register)
 from linkmark.util import sha256_hex
 from linkmark.watermark import serialize_wm
 
@@ -125,6 +130,177 @@ class TestDispute:
         assert len(verdict.checkpoint_hash) == 64
         doc = json.loads(json.dumps(asdict(verdict)))  # JSON-serializable
         assert doc["wm_hash"] == record.wm_hash
+
+
+def board_line(ts, who="x", wm_hash="ab" * 32) -> str:
+    return json.dumps({"ts": ts, "hash": wm_hash, "who": who}, ensure_ascii=False) + "\n"
+
+
+def cold_read(path):
+    """read_board with the module cache emptied first, then put back."""
+    kept = protocol._board_cache
+    protocol._board_cache = (b"", (), 0)
+    try:
+        return read_board(path)
+    finally:
+        protocol._board_cache = kept
+
+
+def text_mode_reference(path):
+    """The text-mode parse the incremental reader must reproduce."""
+    with open(path) as fh:
+        docs = [json.loads(line) for line in fh if line.strip()]
+    return [(float(d["ts"]), d["hash"], d["who"]) for d in docs]
+
+
+def assert_reads_cold(path):
+    warm = read_board(path)
+    assert warm == cold_read(path)
+    assert [(r.ts, r.wm_hash, r.who) for r in warm] == text_mode_reference(path)
+    return warm
+
+
+class TestIncrementalBoard:
+    def test_appends_through_register(self, toy_graph, board):
+        for i in range(4):
+            _, record = register(toy_graph, WmParams(rate=0.1), board, f"o{i}", seed=40 + i)
+            assert assert_reads_cold(board)[-1] == record
+        assert len(read_board(board)) == 4
+
+    def test_line_from_another_handle(self, toy_graph, board):
+        register(toy_graph, WmParams(rate=0.1), board, "alice", seed=41)
+        read_board(board)
+        with open(board, "a") as fh:
+            fh.write(board_line(2e9, "outsider"))
+        assert [r.who for r in assert_reads_cold(board)] == ["alice", "outsider"]
+
+    def test_in_place_edit_of_earlier_line(self, board):
+        board.write_text(board_line(1.0, "alice") + board_line(2.0, "bobby"))
+        assert_reads_cold(board)
+        with open(board, "r+b") as fh:  # same length, so only the content changes
+            fh.seek(board.read_bytes().index(b"alice"))
+            fh.write(b"mallo")
+        assert [r.who for r in assert_reads_cold(board)] == ["mallo", "bobby"]
+
+    def test_replaced_by_shorter_file(self, board):
+        board.write_text("".join(board_line(float(i), f"p{i}") for i in range(5)))
+        assert len(assert_reads_cold(board)) == 5
+        board.write_text(board_line(9.0, "only"))
+        assert [r.who for r in assert_reads_cold(board)] == ["only"]
+        board.write_text("")
+        assert assert_reads_cold(board) == []
+
+    def test_final_line_without_newline_completed_later(self, board):
+        board.write_text(board_line(1.0, "a"))
+        assert_reads_cold(board)
+        with open(board, "a") as fh:
+            fh.write(board_line(2.0, "b").rstrip("\n"))
+        assert [r.who for r in assert_reads_cold(board)] == ["a", "b"]
+        with open(board, "a") as fh:
+            fh.write("\n" + board_line(3.0, "c")[:10])
+        with pytest.raises(BoardFormatError) as warm:
+            read_board(board)
+        with pytest.raises(BoardFormatError) as cold:
+            cold_read(board)
+        assert warm.value.line_no == cold.value.line_no == 3
+        with open(board, "a") as fh:
+            fh.write(board_line(3.0, "c")[10:])
+        assert [r.who for r in assert_reads_cold(board)] == ["a", "b", "c"]
+
+    def test_two_boards_read_alternately(self, tmp_path):
+        boards = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for step in range(4):
+            for k, path in enumerate(boards):
+                with open(path, "a") as fh:
+                    fh.write(board_line(float(step), f"{k}-{step}"))
+                assert [r.who for r in assert_reads_cold(path)] == [
+                    f"{k}-{i}" for i in range(step + 1)]
+
+    def test_crlf_and_unicode_line_separator(self, board):
+        # U+2028 and U+0085 are line breaks to str.splitlines but not to a
+        # text-mode file, so a record holding them stays one record
+        whos = ["crlf", "sep\u2028inside", "nel\x85inside"]
+        board.write_bytes("".join(board_line(float(i), w) for i, w in enumerate(whos))
+                          .replace("\n", "\r\n").encode())
+        assert [r.who for r in assert_reads_cold(board)] == whos
+        with open(board, "ab") as fh:
+            fh.write(b"\r\n" + board_line(5.0, "old-mac").replace("\n", "\r").encode())
+            fh.write(board_line(6.0, "lf").encode())
+        assert [r.who for r in assert_reads_cold(board)] == whos + ["old-mac", "lf"]
+
+    def test_warm_read_then_one_append_parses_one_line(self, toy_graph, board, monkeypatch):
+        board.write_text("".join(board_line(float(i), f"p{i}") for i in range(50)))
+        read_board(board)
+        parsed, loads = [], json.loads
+        monkeypatch.setattr(protocol.json, "loads",
+                            lambda text: parsed.append(text) or loads(text))
+        _, record = register(toy_graph, WmParams(rate=0.1), board, "new", seed=42)
+        assert read_board(board)[-1] == record
+        assert len(parsed) == 1 and '"who": "new"' in parsed[0]
+
+
+class TestBoardFormat:
+    @pytest.mark.parametrize("text", [
+        "not json at all",
+        '[1.0, "ab", "x"]',
+        '{"ts": 1.0, "hash": "ab"}',
+        '{"ts": NaN, "hash": "ab", "who": "x"}',
+        '{"ts": "1.0", "hash": "ab", "who": "x"}',
+        '{"ts": 1.0, "hash": 7, "who": "x"}',
+    ], ids=["garbage", "array", "missing_key", "nan_ts", "string_ts", "number_hash"])
+    def test_bad_line_raises_typed_error_with_its_number(self, board, text):
+        board.write_text(board_line(1.0) + "\n" + text + "\n" + board_line(2.0))
+        with pytest.raises(BoardFormatError) as cold:
+            cold_read(board)
+        assert cold.value.line_no == 3 and "line 3" in str(cold.value)
+        # the same line appended to a board this process has already read
+        board.write_text(board_line(1.0) + "\n")
+        read_board(board)
+        with open(board, "a") as fh:
+            fh.write(text + "\n" + board_line(2.0))
+        with pytest.raises(BoardFormatError) as warm:
+            read_board(board)
+        assert str(warm.value) == str(cold.value)
+
+
+WRITER = """
+import json, os, sys, time
+import linkmark as lm
+from linkmark.protocol import WmParams, register
+g = lm.init_features(lm.generate_sbm(2, 20, 0.3, 0.05, seed=1), 8, seed=2)
+board, name, k = sys.argv[1], sys.argv[2], int(sys.argv[3])
+open(board + "." + name, "w").close()
+for _ in range(10_000):  # start appending together, past both imports
+    if all(os.path.exists(board + "." + w) for w in ("w0", "w1")):
+        break
+    time.sleep(0.005)
+seeds = range(1000 * int(name[1:]), 1000 * int(name[1:]) + k)
+hashes = [register(g, WmParams(rate=0.1), board, name, seed=i)[1].wm_hash for i in seeds]
+print(json.dumps(hashes))
+"""
+
+
+def test_two_writer_processes_share_one_board(board):
+    k = 15
+    src = str(Path(lm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    procs = [subprocess.Popen([sys.executable, "-c", WRITER, str(board), name, str(k)],
+                              env=env, stdout=subprocess.PIPE, text=True)
+             for name in ("w0", "w1")]
+    try:
+        outs = [proc.communicate(timeout=120)[0] for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+    assert [proc.returncode for proc in procs] == [0, 0]
+    receipts = json.loads(outs[0]) + json.loads(outs[1])
+    records = cold_read(board)
+    assert len(records) == 2 * k
+    assert all(a.ts < b.ts for a, b in zip(records, records[1:]))
+    on_board = {r.wm_hash for r in records}
+    assert len(on_board) == 2 * k and on_board == set(receipts)
 
 
 class TestServe:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 import linkmark as lm
-from linkmark.stats import (SidesInverted, blocks_required, dwt_threshold,
+from linkmark.stats import (SidesInverted, ThresholdReport, blocks_required, dwt_threshold,
                             kde_sample, required_sample_size, shapiro_wilk,
                             silverman_bandwidth, smoothed_bootstrap_test)
 
@@ -243,6 +243,32 @@ CLEAN_FIXTURE = [0.05, 0.08, 0.10, 0.12]
 WM_FIXTURE = [0.95, 0.96, 0.97, 0.98]
 
 
+def reference_dwt_threshold(clean, wm, n, gamma, seed):
+    """dwt_threshold as it was when it kept all 2m blocks, for bit-identity."""
+    clean, wm = np.asarray(clean, dtype=float), np.asarray(wm, dtype=float)
+    m = blocks_required(gamma)
+    h_clean, h_wm = silverman_bandwidth(clean), silverman_bandwidth(wm)
+    rng = np.random.default_rng(seed)
+    clean_blocks = [kde_sample(clean, h_clean, n, rng) for _ in range(m)]
+    wm_blocks = [kde_sample(wm, h_wm, n, rng) for _ in range(m)]
+    highest_clean = max(b.max() for b in clean_blocks)
+    lowest_wm = min(b.min() for b in wm_blocks)
+    if highest_clean < lowest_wm:
+        t = 0.5 * (highest_clean + lowest_wm)
+        return ThresholdReport(float(t), n, m, gamma, [0.0] * m, [0.0] * m,
+                               True, h_clean, h_wm)
+    all_clean = np.sort(np.concatenate(clean_blocks))
+    all_wm = np.sort(np.concatenate(wm_blocks))
+    candidates = np.unique(np.concatenate([all_clean, all_wm]))
+    fp = len(all_clean) - np.searchsorted(all_clean, candidates, side="right")
+    fn = np.searchsorted(all_wm, candidates, side="right")
+    total = fp / len(all_clean) + fn / len(all_wm)
+    t = float(candidates[int(np.argmin(total))])
+    fpr = [float(np.mean(b > t)) for b in clean_blocks]
+    fnr = [float(np.mean(b <= t)) for b in wm_blocks]
+    return ThresholdReport(t, n, m, gamma, fpr, fnr, False, h_clean, h_wm)
+
+
 class TestDwtThreshold:
     def test_separated_fixture_certifies(self):
         report = dwt_threshold(CLEAN_FIXTURE, WM_FIXTURE, n=1_000_000,
@@ -298,6 +324,19 @@ class TestDwtThreshold:
         b = dwt_threshold(CLEAN_FIXTURE, WM_FIXTURE, n=1000, gamma=0.95, seed=17)
         assert a.threshold == b.threshold
         assert a.observed_fpr == b.observed_fpr
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 23])
+    @pytest.mark.parametrize("inputs", ["separating", "overlapping"])
+    def test_matches_reference_bit_for_bit(self, inputs, seed):
+        if inputs == "separating":
+            clean, wm, gamma = [v / 100 for v in CLEAN_ROW], [v / 100 for v in WM_ROW], 0.99
+        else:
+            rng = np.random.default_rng(15)
+            clean, wm = rng.normal(0.45, 0.1, size=8), rng.normal(0.55, 0.1, size=8)
+            gamma = 0.95
+        got = dwt_threshold(clean, wm, n=5000, gamma=gamma, seed=seed)
+        assert got.certificate == (inputs == "separating")
+        assert asdict(got) == asdict(reference_dwt_threshold(clean, wm, 5000, gamma, seed))
 
     def test_sides_inverted(self):
         with pytest.raises(SidesInverted):
