@@ -94,9 +94,17 @@ class Graph:
 
 
 def edges_to_adjacency(num_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
-    """Symmetric 0/1 CSR adjacency from an E x 2 array of (u, v) rows."""
+    """Symmetric 0/1 CSR adjacency from an E x 2 array of distinct (u, v) rows,
+    u < v. Built straight from a sort by (row, column), it holds the arrays
+    scipy's COO conversion gives: sorted columns, and the index dtype the CSR
+    constructor picks (int32 unless the node or entry count needs int64)."""
     rows, cols = np.concatenate([edges, edges[:, ::-1]]).T
-    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(num_nodes, num_nodes))
+    idx = np.int32 if max(num_nodes, len(rows)) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(num_nodes + 1, dtype=idx)
+    np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+    # the keys row * n + col are distinct and below n**2, which fits int64 up to MAX_NODES
+    indices = (np.sort(rows * num_nodes + cols) % num_nodes).astype(idx)
+    return sp.csr_matrix((np.ones(len(rows)), indices, indptr), shape=(num_nodes, num_nodes))
 
 
 SPLITS = ("train", "valid", "test")

@@ -7,11 +7,15 @@ Two encoder families over dense f64 features with a CSR adjacency:
 
 Three encoder layers (last one linear), then a 3-layer MLP decoder that maps
 the elementwise product of the two endpoint embeddings to 2 logits. Subgraph
-inputs are encoded in block-diagonal segments, mean-pooled, and decoded. Gradients
-are computed analytically; the optimizer is Adam with bias correction.
+inputs are encoded in block-diagonal segments, mean-pooled, and decoded; as
+pooling and the last layer are both linear, that layer runs on the pooled rows
+(see `_Batch`). Gradients are computed analytically; the optimizer is Adam
+with bias correction.
 
 Every dense layer, encoder or decoder, runs through `_forward`/`_backward`:
-weight terms on the layer input or on its propagated input, plus a bias.
+weight terms on the layer input or on its propagated input, plus a bias. An
+encoder layer reads both through an optional (self map, propagation) pair of
+sparse matrices: (identity, P) for a graph, (M, M @ P) for a pooled last layer.
 `ARCHS` is the one place an arch is defined: parameter names and shapes, the
 checkpoint arch byte and every arch check come from it.
 
@@ -186,10 +190,24 @@ def gcn_propagation(adjacency: sp.spmatrix) -> sp.csr_matrix:
 
 
 def sage_propagation(adjacency: sp.spmatrix) -> sp.csr_matrix:
-    """Row-normalized adjacency (neighbor mean); isolated rows stay zero."""
-    deg = np.asarray(adjacency.sum(axis=1)).ravel()
+    """Row-normalized adjacency (neighbor mean); isolated rows stay zero.
+
+    Built without a sparse product, yet for a CSR input with sorted, distinct
+    columns it holds the arrays of `sp.diags(inv) @ adjacency`: each row's
+    entries in reverse order, as scipy's product stores them, and zero
+    products dropped."""
+    a = sp.csr_matrix(adjacency)
+    deg = np.asarray(a.sum(axis=1)).ravel()
     inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
-    return (sp.diags(inv) @ adjacency).tocsr()
+    counts = np.diff(a.indptr)
+    # entry k of a row spanning [s, e) takes entry s + e - 1 - k of the input
+    src = np.repeat(a.indptr[:-1] + a.indptr[1:] - 1, counts) - np.arange(a.nnz)
+    data, indices, indptr = np.repeat(inv, counts) * a.data[src], a.indices[src], a.indptr.copy()
+    keep = data != 0
+    if not keep.all():
+        kept = np.bincount(np.repeat(np.arange(len(counts)), counts)[keep], minlength=len(counts))
+        data, indices, indptr = data[keep], indices[keep], np.r_[0, np.cumsum(kept)]
+    return sp.csr_matrix((data, indices, indptr), shape=a.shape)
 
 
 def propagation_matrix(arch: str, adjacency: sp.spmatrix) -> sp.csr_matrix:
@@ -204,15 +222,20 @@ def _slot(ws: dict, key, shape: tuple) -> np.ndarray:
     return a[:shape[0]]
 
 
-def _forward(model: LinkPredictor, kind: str, x: np.ndarray, prop=None, ws=None):
+def _forward(model: LinkPredictor, kind: str, x: np.ndarray, maps=None, ws=None):
     """Run the `kind` layers on x (ReLU between, in place; the last linear),
-    writing each output into the workspace `ws` if given. Returns the output
-    and, per layer, (bias, terms, input, prop @ input, output)."""
+    writing each output into the workspace `ws` if given. Layer i's self terms
+    read `own @ h` (h itself when `own` is None) and its propagated terms `prop
+    @ h`, for (own, prop) = maps[i]. Returns the output and, per layer, (bias,
+    terms, self-term input, propagated input, output)."""
     if kind == "enc" and x.shape[1] != model.in_dim:
         raise ValueError(f"feature dim {x.shape[1]} != model input dim {model.in_dim}")
     p, h, cache = model.params, x, []
     for i, (b, terms) in enumerate(_layers(model.arch, kind)):
+        own, prop = (None, None) if maps is None else maps[i]
         agg = None if prop is None else prop @ h
+        if own is not None and not all(on for _, on in terms):
+            h = own @ h
         z = None
         for w, propagated in terms:
             src = agg if propagated else h
@@ -226,11 +249,14 @@ def _forward(model: LinkPredictor, kind: str, x: np.ndarray, prop=None, ws=None)
 
 
 def _backward(model: LinkPredictor, cache: list, dh: np.ndarray, grads: MappingProxyType,
-              ws: dict, prop_t=None, input_grad: bool = True):
+              ws: dict, maps_t=None, input_grad: bool = True):
     """Backprop dh = d(loss)/d(output) through a `_forward` cache; accumulates
     the parameter gradients into the named views `grads` and returns the input's
-    (None unless `input_grad`). Layer i's input gradient is formed in workspace
-    delta i % 2, so the decoder's is delta 0 and delta 1 is then free."""
+    (None unless `input_grad`). `maps_t` holds the transposes of `_forward`'s
+    maps. An unmapped first term forms layer i's input gradient in workspace
+    delta i % 2, so the decoder's is delta 0 and delta 1 is then free; a mapped
+    term's product is scattered into a new array at once and goes through "term",
+    so a pooled last layer leaves the decoder's delta 0, its own dh, intact."""
     p = model.params
     for i, (b, terms, h, agg, a) in reversed(list(enumerate(cache))):
         if i < 2:
@@ -241,9 +267,11 @@ def _backward(model: LinkPredictor, cache: list, dh: np.ndarray, grads: MappingP
             np.add(grads[w], (agg if propagated else h).T @ dh, out=grads[w])
             if i == 0 and not input_grad:
                 continue
+            m_t = None if maps_t is None else maps_t[i][propagated]
             d = np.matmul(dh, p[w].T, out=_slot(
-                ws, ("delta", i % 2) if d_in is None else "term", (len(dh), p[w].shape[0])))
-            d = prop_t @ d if propagated else d
+                ws, ("delta", i % 2) if d_in is None and m_t is None else "term",
+                (len(dh), p[w].shape[0])))
+            d = d if m_t is None else m_t @ d
             d_in = d if d_in is None else np.add(d_in, d, out=d_in)
         dh = d_in
     return dh
@@ -251,8 +279,8 @@ def _backward(model: LinkPredictor, cache: list, dh: np.ndarray, grads: MappingP
 
 def encode(model: LinkPredictor, adjacency: sp.spmatrix, features: np.ndarray) -> np.ndarray:
     """Node embedding matrix for the given graph state."""
-    prop = propagation_matrix(model.arch, adjacency)
-    return _forward(model, "enc", np.asarray(features, dtype=float), prop)[0]
+    maps = ((None, propagation_matrix(model.arch, adjacency)),) * 3
+    return _forward(model, "enc", np.asarray(features, dtype=float), maps)[0]
 
 
 def score_pairs(model: LinkPredictor, embeddings: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -304,17 +332,27 @@ SEGMENT_NODES = 256
 
 
 class _Batch:
-    """Labeled rows scored segment by segment. A segment is (propagation,
-    features, readout, rows, propagation.T, readout.T): a graph to encode, the
-    arrays stacked into its node features, a sparse readout of its node
-    embeddings, the batch rows it scores, and the transposes for the backward
-    pass. A pair readout stacks the two endpoint gathers; a pool readout has
-    one block, the mean embedding per subgraph. Built once per arch."""
+    """Labeled rows scored segment by segment. A segment is (maps, features,
+    readout, rows, maps_t, readout_t): per encoder layer the (self map,
+    propagation) pair `_forward` applies, the arrays stacked into the node
+    features, a sparse readout of the encoder output (None: it is already one
+    row per batch row), the batch rows it scores, and the transposes for the
+    backward pass. Built once per arch.
+
+    A pair segment maps every layer by (None, P), the identity and the graph's
+    propagation, and its readout stacks the two endpoint gathers. A pool
+    segment mean-pools each subgraph by M, whose rows sum to 1, so its linear
+    last layer can run on pooled rows: M (H Ws + P H Wn + b) = (M H) Ws + (R H)
+    Wn + b with R = M P. Its last layer maps by (M, R) and it has no readout."""
 
     def segments(self, arch: str) -> list:
         if arch not in self._segments:
             built = self._build(arch) if len(self) else []
-            self._segments[arch] = [(*seg, seg[0].T, seg[2].T) for seg in built]
+            self._segments[arch] = [
+                (maps, features, readout, rows,
+                 tuple((None if own is None else own.T, prop.T) for own, prop in maps),
+                 None if readout is None else readout.T)
+                for maps, features, readout, rows in built]
         return self._segments[arch]
 
     def onehot_targets(self) -> np.ndarray:
@@ -344,13 +382,14 @@ class PairBatch(_Batch):
         n = len(self.pairs)
         readout = sp.csr_matrix((np.ones(2 * n), self.pairs.T.ravel(), np.arange(2 * n + 1)),
                                 shape=(2 * n, len(self.features)))
-        return [(propagation_matrix(arch, self.adjacency), [self.features], readout, slice(0, n))]
+        maps = ((None, propagation_matrix(arch, self.adjacency)),) * 3
+        return [(maps, [self.features], readout, slice(0, n))]
 
 
 class SubgraphBatch(_Batch):
     """Independent subgraphs classified via encode + mean pool + decode. Runs
     of consecutive subgraphs form block-diagonal segments (SEAL batching)
-    with a pool readout."""
+    whose last encoder layer runs on the pooled rows."""
 
     def __init__(self, subgraphs, labels):
         self.subgraphs = list(subgraphs)
@@ -374,23 +413,24 @@ class SubgraphBatch(_Batch):
             prop = sp.block_diag([propagation_matrix(arch, sg.adjacency()) for sg in sgs], "csr")
             pool = sp.csr_matrix((np.repeat(1.0 / run, run), np.arange(run.sum()),
                                   np.r_[0, np.cumsum(run)]), shape=(b - a, run.sum()))
-            segments.append((prop, [sg.local_features for sg in sgs], pool, slice(a, b)))
+            maps = ((None, prop),) * 2 + ((pool, pool @ prop),)
+            segments.append((maps, [sg.local_features for sg in sgs], None, slice(a, b)))
             a = b
         return segments
 
 
-def _segment_forward(model: LinkPredictor, prop: sp.csr_matrix, features: list,
-                     readout: sp.csr_matrix, rows: slice, *transposes, ws=None):
+def _segment_forward(model: LinkPredictor, maps: tuple, features: list,
+                     readout: sp.csr_matrix | None, rows: slice, *transposes, ws=None):
     """Encode a segment, read out its factors, a (2, rows, hidden) pair of endpoint
-    embeddings or a (1, rows, hidden) pooled block, and decode their product in the
-    workspace `ws` (default: a new one). Returns (encoder `_forward`, factors, decoder's)."""
+    embeddings or the (1, rows, hidden) pooled encoder output, and decode their product
+    in the workspace `ws` (default: a new one). Returns (encoder `_forward`, factors,
+    decoder's)."""
     ws = {} if ws is None else ws
     enc = _forward(model, "enc", features[0] if len(features) == 1 else np.vstack(features),
-                   prop, ws)
+                   maps, ws)
+    if readout is None:
+        return enc, enc[0][None], _forward(model, "dec", enc[0], ws=ws)
     n, hidden = rows.stop - rows.start, enc[0].shape[1]
-    if readout.shape[0] == n:
-        factors = (readout @ enc[0])[None]
-        return enc, factors, _forward(model, "dec", factors[0], ws=ws)
     # a pair readout is a gather; mode="clip" lets numpy write straight into
     # `out` (PairBatch checked the ids)
     factors = np.take(enc[0], readout.indices, axis=0, mode="clip",
@@ -424,22 +464,21 @@ def loss_and_grads(model: LinkPredictor, batch, targets: np.ndarray | None = Non
         targets = batch.onehot_targets()
     grads = np.zeros_like(model.flat)
     views, total, d_features, ws = model.views(grads), 0.0, [], batch._workspace
-    for prop, features, readout, rows, prop_t, readout_t in batch.segments(model.arch):
-        enc, factors, (logits, dec) = _segment_forward(model, prop, features, readout, rows,
+    for maps, features, readout, rows, maps_t, readout_t in batch.segments(model.arch):
+        enc, factors, (logits, dec) = _segment_forward(model, maps, features, readout, rows,
                                                        ws=ws)
         loss, d_logits = cross_entropy(logits, targets[rows], len(batch))
         total += loss
-        dx = _backward(model, dec, d_logits, views, ws)
-        # an endpoint's gradient is dx times the other endpoint (written over the factors
-        # through the free delta), a pooled block's is dx; readout.T scatters them to nodes
-        if len(factors) == 2:
-            spare = np.multiply(dx, factors[1], out=_slot(ws, ("delta", 1), dx.shape))
-            np.multiply(dx, factors[0], out=factors[1])
+        d_emb = _backward(model, dec, d_logits, views, ws)
+        # d_emb, the decoder's input gradient, is a pooled row's; an endpoint's is d_emb times
+        # the other endpoint (written over the factors through the free delta), which
+        # readout.T scatters to nodes
+        if readout is not None:
+            spare = np.multiply(d_emb, factors[1], out=_slot(ws, ("delta", 1), d_emb.shape))
+            np.multiply(d_emb, factors[0], out=factors[1])
             factors[0] = spare
-        else:
-            factors = dx[None]
-        d_emb = readout_t @ factors.reshape(-1, dx.shape[1])
-        d_in = _backward(model, enc[1], d_emb, views, ws, prop_t, with_feature_grads)
+            d_emb = readout_t @ factors.reshape(-1, d_emb.shape[1])
+        d_in = _backward(model, enc[1], d_emb, views, ws, maps_t, with_feature_grads)
         if with_feature_grads:
             d_features.append(d_in.copy())  # the next segment reuses the workspace
     return (total, grads, np.vstack(d_features)) if with_feature_grads else (total, grads)

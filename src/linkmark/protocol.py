@@ -72,6 +72,7 @@ class BoardFormatError(ValueError):
 
 def _parse_record(line_no: int, line: str) -> BulletinRecord:
     try:
+        line.encode()  # UnicodeEncodeError: the line held bytes that are not UTF-8
         d = json.loads(line)
         ts, wm_hash, who = float(d["ts"]), d["hash"], d["who"]
         if type(d["ts"]) in (int, float) and np.isfinite(ts) and str == type(wm_hash) == type(who):
@@ -89,7 +90,8 @@ def read_board(board_path) -> list:
     except FileNotFoundError:
         return []
     seen, records, lines = _board_cache if data.startswith(_board_cache[0]) else (b"", (), 0)
-    tail = list(io.TextIOWrapper(io.BytesIO(data[len(seen):])))
+    # bytes that are not UTF-8 decode to lone surrogates, which `_parse_record` refuses
+    tail = list(io.TextIOWrapper(io.BytesIO(data[len(seen):]), "utf-8", "surrogateescape"))
     records += tuple(_parse_record(lines + i, t) for i, t in enumerate(tail, 1) if t.strip())
     if data.endswith(b"\n"):
         _board_cache = (data, records, lines + len(tail))

@@ -228,17 +228,118 @@ class TestBackward:
         assert np.linalg.norm(d_features[:4]) > 0
 
 
+    @pytest.mark.parametrize("arch,seed", [("gcn", 16), ("sage", 17)])
+    def test_segment_feature_grads_match_fd(self, arch, seed):
+        # the pooled last layer's input gradient, M.T and R.T scattering the
+        # pooled rows' deltas back to nodes, against central differences
+        batch = multi_segment_batch(seed)
+        model = random_params(lm.LinkPredictor.init(arch, 4, 6, seed=seed),
+                              np.random.default_rng(seed))
+        _, _, d_features = loss_and_grads(model, batch, with_feature_grads=True)
+        features = [sg.local_features for sg in batch.subgraphs]
+        starts = np.cumsum([0] + [len(f) for f in features])
+        assert d_features.shape == (starts[-1], 4)
+        # the anchors, an isolated node and one more node of every subgraph
+        picks = sorted({(k, j) for k, sg in enumerate(batch.subgraphs)
+                        for j in (*sg.anchor, sg.num_nodes // 2)})
+        step, numeric = 1e-5, []
+        for k, j in picks:
+            for c in range(4):
+                orig = features[k][j, c]
+                features[k][j, c] = orig + step
+                up = loss_and_grads(model, batch)[0]
+                features[k][j, c] = orig - step
+                down = loss_and_grads(model, batch)[0]
+                features[k][j, c] = orig
+                numeric.append((up - down) / (2 * step))
+        analytic = d_features[[starts[k] + j for k, j in picks]].ravel()
+        numeric = np.array(numeric)
+        assert np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric) < FD_TOL
+
+
+def csr_bytes(m) -> tuple:
+    """A CSR matrix as its shape and the dtype and bytes of each of its arrays."""
+    return (m.shape,) + tuple((a.dtype, a.tobytes()) for a in (m.indptr, m.indices, m.data))
+
+
+def scipy_adjacency(n, edges):
+    rows, cols = np.concatenate([edges, edges[:, ::-1]]).T
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+
+
+def scipy_sage(adjacency):
+    deg = np.asarray(adjacency.sum(axis=1)).ravel()
+    inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
+    return (sp.diags(inv) @ adjacency).tocsr()
+
+
+def random_edges(rng, n, m):
+    """Up to m distinct sorted (u, v) rows, u < v, over the first n - 1 nodes
+    (so at least the last node is isolated)."""
+    ends = rng.integers(0, max(n - 1, 1), size=(m, 2))
+    return np.array(sorted({(int(u), int(v)) for u, v in ends if u < v}),
+                    dtype=np.int64).reshape(-1, 2)
+
+
+class TestDirectCsr:
+    """`edges_to_adjacency` and `sage_propagation` build their CSR arrays
+    directly; they must equal the scipy expressions they replace bit for bit."""
+
+    CASES = [(1, 0), (5, 0), (2, 1), (12, 30), (40, 15), (64, 400), (300, 900)]
+
+    @pytest.mark.parametrize("n,m", CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scipy_expressions(self, n, m, seed):
+        edges = random_edges(np.random.default_rng(seed), n, m)
+        adj = lm.graph.edges_to_adjacency(n, edges)
+        assert csr_bytes(adj) == csr_bytes(scipy_adjacency(n, edges))
+        assert adj.indices.dtype == np.int32
+        assert csr_bytes(nn.sage_propagation(adj)) == csr_bytes(scipy_sage(adj))
+
+    def test_sage_keeps_scipys_reversed_rows(self):
+        adj = lm.graph.edges_to_adjacency(4, np.array([[0, 1], [0, 2], [0, 3]]))
+        prop = nn.sage_propagation(adj)
+        assert prop.indices[:3].tolist() == [3, 2, 1]
+        assert np.allclose(prop.toarray(), scipy_sage(adj).toarray(), rtol=0, atol=0)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_sage_weighted_with_explicit_zeros_and_int64_indices(self, seed):
+        rng = np.random.default_rng(seed)
+        adj = lm.graph.edges_to_adjacency(50, random_edges(rng, 50, 150))
+        adj.data = rng.normal(size=adj.nnz)
+        adj.data[::4] = 0.0  # stored zeros, and rows whose degree is <= 0
+        for a in (adj, sp.csr_matrix((adj.data, adj.indices.astype(np.int64),
+                                      adj.indptr.astype(np.int64)), shape=adj.shape)):
+            assert csr_bytes(nn.sage_propagation(a)) == csr_bytes(scipy_sage(a))
+
+    def test_sage_does_not_share_the_input_arrays(self):
+        adj = lm.graph.edges_to_adjacency(6, random_edges(np.random.default_rng(5), 6, 10))
+        prop = nn.sage_propagation(adj)
+        assert not any(np.shares_memory(x, y) for x in (prop.indptr, prop.indices, prop.data)
+                       for y in (adj.indptr, adj.indices, adj.data))
+
+
 class TestSegments:
     def test_runs_of_whole_subgraphs(self):
         batch = multi_segment_batch(18)
         rows = [seg[3] for seg in batch.segments("gcn")]
         assert [(r.start, r.stop) for r in rows] == [(0, 3), (3, 4), (4, 6)]
-        for prop, features, pool, r, prop_t, pool_t in batch.segments("gcn"):
+        for maps, features, readout, r, maps_t, readout_t in batch.segments("gcn"):
+            # the first two layers propagate by P; the last maps by (M, M @ P),
+            # the mean pool M and the pooled propagation, and no readout follows
+            (own, prop), hidden, (pool, pooled_prop) = maps
+            (own_t, prop_t), hidden_t, (pool_t, pooled_prop_t) = maps_t
+            assert own is own_t is hidden[0] is hidden_t[0] is None
+            assert hidden[1] is prop and (hidden_t[1] != prop.T).nnz == 0
+            assert readout is None and readout_t is None
             nodes = sum(MULTI_SEGMENT_SIZES[r.start:r.stop])
             assert prop.shape == (nodes, nodes) and pool.shape == (r.stop - r.start, nodes)
             assert (prop_t != prop.T).nnz == 0 and (pool_t != pool.T).nnz == 0
             assert nodes <= SEGMENT_NODES or r.stop - r.start == 1
             assert np.allclose(pool.sum(axis=1), 1.0)
+            assert np.allclose(pooled_prop.toarray(), (pool @ prop).toarray(), rtol=0, atol=1e-15)
+            assert (pooled_prop_t != pooled_prop.T).nnz == 0
+            assert np.shares_memory(pooled_prop_t.data, pooled_prop.data)  # a view, not a copy
 
     @pytest.mark.parametrize("arch", ["gcn", "sage"])
     def test_batch_logits_match_rowwise_classify(self, arch):

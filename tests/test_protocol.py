@@ -262,6 +262,27 @@ class TestBoardFormat:
             read_board(board)
         assert str(warm.value) == str(cold.value)
 
+    @pytest.mark.parametrize("raw", [
+        b"\xff",
+        b'{"ts": 1.5, "hash": "ab", "who": "caf\xe9"}',
+        b'{"ts": 1.5, "hash": "ab", "who": "\xed\xa0\x80"}',
+    ], ids=["lone_byte", "latin1_in_who", "encoded_surrogate"])
+    def test_line_that_is_not_utf8_raises_typed_error(self, board, raw):
+        first, last = board_line(1.0).encode(), board_line(2.0, "caf\u00e9").encode()
+        board.write_bytes(first + raw + b"\n" + last)
+        with pytest.raises(BoardFormatError) as cold:
+            cold_read(board)
+        assert cold.value.line_no == 2 and "line 2" in str(cold.value)
+        board.write_bytes(first)
+        read_board(board)
+        with open(board, "ab") as fh:
+            fh.write(raw + b"\n" + last)
+        with pytest.raises(BoardFormatError) as warm:
+            read_board(board)
+        assert str(warm.value) == str(cold.value)
+        board.write_bytes(first + last)  # valid UTF-8 beyond ASCII still reads
+        assert [r.who for r in assert_reads_cold(board)] == ["x", "caf\u00e9"]
+
 
 WRITER = """
 import json, os, sys, time
