@@ -17,7 +17,7 @@ from .embed import (embed_finetune_baseline, embed_interleaved,
                     train_clean)
 from .stats import (ThresholdReport, auc, blocks_required, dwt_threshold,
                     kde_sample, required_sample_size, shapiro_wilk,
-                    silverman_bandwidth, smoothed_bootstrap_test, verify_ownership)
+                    silverman_bandwidth, smoothed_bootstrap_test)
 from .attacks import (AttackReport, attack_verdict, attacker_split, distill,
                       extract, fine_prune, finetune, piracy_embed, prune, quantize)
 from .protocol import (BulletinRecord, ServeSession, Verdict, WmParams, dispute,

@@ -28,7 +28,7 @@ from .graph import (SPLITS, build_subgraph_dataset, generate_sbm, init_features,
 from .nn import ARCHS, LinkPredictor, PairBatch, SubgraphBatch, TrainConfig, evaluate_auc
 from .protocol import ServeSession, WmParams, dispute, generate_watermark, register
 from .stats import dwt_threshold, finite_samples, shapiro_wilk, smoothed_bootstrap_test
-from .util import derive_seed, sha256_file, sha256_hex
+from .util import derive_seed, pin_blas_threads, sha256_file, sha256_hex
 from .watermark import load_wm, save_wm, watermark_auc
 
 EXIT_OK = 0
@@ -295,7 +295,7 @@ def cmd_register(args, s) -> int:
 def cmd_dispute(args, s) -> int:
     verdict = dispute(args.board, load_wm(args.wm), LinkPredictor.load(args.checkpoint),
                       read_samples_csv(args.clean_csv), read_samples_csv(args.wm_csv),
-                      gamma=s["gamma"], n=s["n"], seed=derive_seed(s["seed"], "dispute"),
+                      gamma=s["gamma"], n=s["n"], seed=derive_seed(s["seed"], "dwt"),
                       claimed_hash=args.claimed_hash, checkpoint_path=args.checkpoint)
     return _emit(args, {"seed": s["seed"], "gamma": s["gamma"], "n": s["n"]},
                  [], ("verdict.json", asdict(verdict)))
@@ -445,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    pin_blas_threads()
     args = build_parser().parse_args(argv)
     try:
         if "out" in args:

@@ -2,18 +2,19 @@
 threshold selection with a rule-of-three confidence certificate.
 
 The threshold procedure estimates the score distributions of clean and
-watermarked models with Gaussian KDEs (Silverman bandwidth per group), draws
-m = ceil(-ln(1 - gamma)) blocks of n points from each, and certifies
-FPR, FNR < 1/n at confidence gamma when every block separates cleanly:
-observing zero misclassifications in m blocks of n Bernoulli trials bounds
-the failure probability because (1-p)^(mn) <= e^-m whenever p >= 1/n.
+watermarked models with Gaussian KDEs (Silverman bandwidth per group) and
+certifies FPR, FNR < 1/n at confidence gamma when m = ceil(-ln(1 - gamma))
+blocks of n draws from each separate: zero misclassifications in m blocks of
+n Bernoulli trials bound the failure probability, as (1-p)^(mn) <= e^-m for
+p >= 1/n. The largest clean and the smallest watermarked of the m*n draws
+decide it, each drawn exactly (a maximum of N i.i.d. draws has CDF F^N).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import log_ndtr, ndtri
 
 # absorbs float noise at exact-integer boundaries of ceil()
 _CEIL_EPS = 1e-12
@@ -189,16 +190,29 @@ class ThresholdReport:
     h_wm: float
 
 
+def kde_max(sample, bandwidth: float, count, rng) -> float:
+    """Largest of `count` KDE draws, exactly: bisects sf(t) = 1 - U^(1/count),
+    U in (0, 1) from `rng`, to the float grid within 50 bandwidths of `sample`."""
+    u = (rng.integers(1 << 52) + 0.5) / (1 << 52)
+    target = math.log(-math.expm1(math.log(u) / count)) + math.log(len(sample))
+    lo, hi = sample.min() - 50.0 * bandwidth, sample.max() + 50.0 * bandwidth
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        above = np.logaddexp.reduce(log_ndtr((sample - mid) / bandwidth)) > target
+        lo, hi = (mid, hi) if above else (lo, mid)
+    return float(hi)
+
+
 def dwt_threshold(clean, watermarked, n: int, gamma: float, seed: int = 0) -> ThresholdReport:
     """Pick a decision threshold between the clean and watermarked AUC
     distributions.
 
-    Draws m blocks of n points from each group's KDE. If every block
-    separates (max clean draw < min watermarked draw), the threshold is the
-    midpoint of the worst-case gap and the (n, m, gamma) certificate holds
-    with observed FPR = FNR = 0. Otherwise the threshold minimizes
-    FPR + FNR over the pooled draws (ties resolved toward the lower
-    threshold, favoring the defendant) and no certificate is issued.
+    From `default_rng(seed)`, draws the largest of m*n clean KDE draws, then
+    the smallest of m*n watermarked ones (`kde_max`). If they separate, so
+    does every block of n: the threshold is the midpoint of the gap, and the
+    (n, m, gamma) certificate holds with observed FPR = FNR = 0. Otherwise it
+    re-seeds, draws the 2m blocks and minimizes FPR + FNR over the pooled
+    draws (ties toward the lower threshold, favoring the defendant); this
+    second look never certifies, even if these blocks separate.
     """
     clean = finite_samples(clean)
     wm = finite_samples(watermarked)
@@ -214,16 +228,13 @@ def dwt_threshold(clean, watermarked, n: int, gamma: float, seed: int = 0) -> Th
     m = blocks_required(gamma)
     h_clean = silverman_bandwidth(clean)
     h_wm = silverman_bandwidth(wm)
-    rng = np.random.default_rng(seed)  # one block at a time: only the extremes matter
-    highest_clean = max(kde_sample(clean, h_clean, n, rng).max() for _ in range(m))
-    lowest_wm = min(kde_sample(wm, h_wm, n, rng).min() for _ in range(m))
+    rng = np.random.default_rng(seed)
+    highest_clean = kde_max(clean, h_clean, m * n, rng)
+    lowest_wm = -kde_max(-wm, h_wm, m * n, rng)
     if highest_clean < lowest_wm:
-        # a threshold in the gap misclassifies nothing in any block, which
-        # is exactly the zero-failure observation the certificate needs
         t = 0.5 * (highest_clean + lowest_wm)
         return ThresholdReport(float(t), n, m, gamma, [0.0] * m, [0.0] * m,
                                True, h_clean, h_wm)
-    # overlap: redraw the same blocks, sweep pooled draws for the minimum total error
     rng = np.random.default_rng(seed)
     clean_blocks = [kde_sample(clean, h_clean, n, rng) for _ in range(m)]
     wm_blocks = [kde_sample(wm, h_wm, n, rng) for _ in range(m)]
@@ -239,12 +250,3 @@ def dwt_threshold(clean, watermarked, n: int, gamma: float, seed: int = 0) -> Th
     fpr = [float(np.mean(b > t)) for b in clean_blocks]
     fnr = [float(np.mean(b <= t)) for b in wm_blocks]
     return ThresholdReport(t, n, m, gamma, fpr, fnr, False, h_clean, h_wm)
-
-
-def verify_ownership(model, watermark, threshold: float) -> dict:
-    """Evaluate the suspect on the trigger set; owned means AUC above the
-    threshold."""
-    from .watermark import watermark_auc
-
-    score = watermark_auc(model, watermark)
-    return {"owned": bool(score > threshold), "auc": score}

@@ -1,7 +1,9 @@
-"""Shared helpers: named-stream seed derivation, file hashing and a bounded
-binary reader."""
+"""Shared helpers: named-stream seed derivation, file hashing, a bounded
+binary reader and BLAS thread pinning."""
 
+import ctypes
 import hashlib
+import os
 import struct
 
 import numpy as np
@@ -56,3 +58,19 @@ class Cursor:
     def finish(self) -> None:
         if self.pos != len(self.data):
             raise ValueError(f"{len(self.data) - self.pos} trailing bytes in {self.what}")
+
+
+def pin_blas_threads() -> None:
+    """One BLAS thread, as a threaded GEMM sums in another order: set for child
+    processes, and through ctypes for each OpenBLAS loaded here (Linux)."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    maps = "/proc/self/maps" if os.path.exists("/proc/self/maps") else os.devnull
+    with open(maps) as fh:
+        libs = {line.split()[-1] for line in fh
+                if "openblas" in line.lower() and ".so" in line.split()[-1]}
+    names = [f"{p}openblas_set_num_threads{s}" for p in ("", "scipy_") for s in ("", "64_")]
+    for lib in map(ctypes.CDLL, libs):
+        for fn in (getattr(lib, name) for name in names if hasattr(lib, name)):
+            fn.argtypes, fn.restype = [ctypes.c_int], None
+            fn(1)

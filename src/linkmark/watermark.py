@@ -121,8 +121,12 @@ def build_node_rep_wm(g: Graph, nodes: np.ndarray, vector: np.ndarray,
     iu, ju = np.triu_indices(len(nodes), k=1)
     pairs = np.stack([nodes[iu], nodes[ju]], axis=1)
     key = lambda p: p[:, 0] * g.num_nodes + p[:, 1]
-    labels = (~np.isin(key(pairs), key(g.edges))).astype(np.int64)
-    outside = g.edges[~np.isin(g.edges, nodes).all(axis=1)]
+    edge_keys, pair_keys = key(g.edges), key(pairs)  # edge keys sort as g.edges
+    # a pair is an edge iff searchsorted finds its key; the -1 past the end never matches
+    found = np.append(edge_keys, -1)[np.searchsorted(edge_keys, pair_keys)]
+    labels = (found != pair_keys).astype(np.int64)
+    in_trigger = np.bincount(nodes, minlength=g.num_nodes).astype(bool)
+    outside = g.edges[~in_trigger[g.edges].all(axis=1)]
     features = g.features.copy()
     features[nodes] = vector
     return NodeRepWatermark(g.num_nodes, nodes, pairs, labels,

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 import linkmark as lm
+from linkmark.util import pin_blas_threads
+
+# results depend bitwise on the BLAS thread count; every test runs at one
+pin_blas_threads()
 
 # one PASS/FAIL line per acceptance criterion, echoed after the run
 ACCEPTANCE_LINES = []

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -360,6 +361,29 @@ class TestThresholdAndDispute:
         assert verdict["reason"] in ("auc_above_t", "auc_below_t")
 
 
+    @pytest.mark.parametrize("wm_row", [(0.82, 0.86, 0.9, 0.94), (0.3, 0.4, 0.45, 0.5)],
+                             ids=["separating", "overlapping"])
+    def test_threshold_and_dispute_apply_the_same_t(self, pipeline, tmp_path, wm_row):
+        out, cfg = pipeline
+        board = tmp_path / "board.jsonl"
+        assert main(["register", "--out", str(tmp_path), "--seed", "42",
+                     "--edges", str(out / "graph.edges"), "--features",
+                     str(out / "graph.features"), "--board", str(board),
+                     "--who", "owner", "--config", str(cfg)]) == 0
+        clean = tmp_path / "clean.csv"
+        wm_csv = tmp_path / "wm.csv"
+        clean.write_text("".join(f"{v}\n" for v in (0.2, 0.3, 0.35, 0.4)))
+        wm_csv.write_text("".join(f"{v}\n" for v in wm_row))
+        common = ["--out", str(tmp_path), "--clean-csv", str(clean), "--wm-csv", str(wm_csv),
+                  "--gamma", "0.95", "--n", "10000", "--seed", "3"]
+        assert main(["threshold"] + common) == 0
+        assert main(["dispute", "--board", str(board), "--wm", str(tmp_path / "trigger.gwm"),
+                     "--checkpoint", str(out / "model.ckpt")] + common) == 0
+        report = json.loads((tmp_path / "threshold.json").read_text())
+        verdict = json.loads((tmp_path / "verdict.json").read_text())
+        assert report["certificate"] == (wm_row[0] > 0.8)
+        assert verdict["threshold"] == report["threshold"]
+
 class TestAttackCommand:
     def test_prune_attack_report(self, pipeline, tmp_path):
         out, _ = pipeline
@@ -547,6 +571,31 @@ class TestServeCommand:
         counts = json.loads(proc.stderr.strip().splitlines()[-1])
         assert counts == {"answered": 2, "err_parse": 2, "err_range": 2, "err_self_pair": 1,
                           "row_hits": 0, "row_misses": 2, "row_over_cap": 0}
+
+
+def test_train_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # 200 nodes at hidden 64 are enough for a threaded GEMM to change the bits
+    cfg = write_config(tmp_path, per_block=100, p_in=0.25, feature_dim=32, hidden=64,
+                       epochs=1, lr=0.005)
+    base = ["--out", str(tmp_path), "--seed", "0", "--config", str(cfg)]
+    edges = ["--edges", str(tmp_path / "graph.edges"),
+             "--features", str(tmp_path / "graph.features")]
+    assert main(["datagen"] + base) == 0
+    assert main(["split"] + base + edges) == 0
+    assert main(["wm-gen"] + base + edges) == 0
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "linkmark.cli", "train", "--out", str(out), "--seed", "0",
+             "--config", str(cfg), "--dataset", str(tmp_path / "dataset.npz"),
+             "--wm", str(tmp_path / "trigger.gwm")],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(written[0]) == ["model.ckpt", "train_manifest.json"]
+    assert written[0] == written[1]
 
 
 def test_jobs_env_var_fallback(monkeypatch):

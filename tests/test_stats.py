@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -7,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
+from scipy.optimize import brentq
 
 import linkmark as lm
 from linkmark.stats import (SidesInverted, ThresholdReport, blocks_required, dwt_threshold,
-                            kde_sample, required_sample_size, shapiro_wilk,
+                            kde_max, kde_sample, required_sample_size, shapiro_wilk,
                             silverman_bandwidth, smoothed_bootstrap_test)
+from linkmark.watermark import watermark_auc
 
 # trigger-set AUC rows for ten clean and ten watermarked models (percent)
 CLEAN_ROW = [14.37, 6.73, 12.49, 15.54, 10.21, 8.03, 4.23, 40.05, 5.02, 10.72]
@@ -244,7 +248,8 @@ WM_FIXTURE = [0.95, 0.96, 0.97, 0.98]
 
 
 def reference_dwt_threshold(clean, wm, n, gamma, seed):
-    """dwt_threshold as it was when it kept all 2m blocks, for bit-identity."""
+    """dwt_threshold as it was when it kept all 2m blocks and read the
+    certificate off them; its overlap path must still match bit for bit."""
     clean, wm = np.asarray(clean, dtype=float), np.asarray(wm, dtype=float)
     m = blocks_required(gamma)
     h_clean, h_wm = silverman_bandwidth(clean), silverman_bandwidth(wm)
@@ -287,8 +292,9 @@ class TestDwtThreshold:
             assert set(report.observed_fnr) == {0.0}
 
     def test_certificate_rates_verified_by_independent_redraw(self):
-        # the reported threshold must misclassify nothing in any block when
-        # the blocks are redrawn from the same seed
+        # replaying the two exact extremes from the seed, solved here with
+        # brentq on the KDE's tail mass, must put the threshold in their gap;
+        # then no draw of any block is misclassified
         rng = np.random.default_rng(21)
         certificates = 0
         for trial in range(60):
@@ -300,15 +306,51 @@ class TestDwtThreshold:
             if not rep.certificate:
                 continue
             certificates += 1
-            redraw = np.random.default_rng(trial)
-            for sample, h, above in ((clean, rep.h_clean, True),
-                                     (wm, rep.h_wm, False)):
-                for _ in range(rep.m):
-                    draws = (sample[redraw.integers(0, len(sample), 200)]
-                             + redraw.normal(0, h, 200))
-                    errs = draws > rep.threshold if above else draws <= rep.threshold
-                    assert not errs.any()
+            replay = np.random.default_rng(trial)
+            extremes = []
+            for sample, h, sign in ((clean, rep.h_clean, 1.0), (wm, rep.h_wm, -1.0)):
+                u = (replay.integers(1 << 52) + 0.5) / (1 << 52)
+                tail = -math.expm1(math.log(u) / (rep.m * 200))
+                x = sign * sample
+                gap = lambda t: scipy_stats.norm.sf(t, x, h).mean() - tail
+                extremes.append(sign * brentq(gap, x.min() - 50 * h, x.max() + 50 * h,
+                                              xtol=1e-15))
+            highest_clean, lowest_wm = extremes
+            assert highest_clean < rep.threshold < lowest_wm
+            assert rep.threshold == pytest.approx(0.5 * (highest_clean + lowest_wm),
+                                                  abs=1e-12)
         assert certificates > 5  # the property was actually exercised
+
+    @pytest.mark.parametrize("sample,side", [(CLEAN_ROW, "max"), (WM_ROW, "min"),
+                                             (CLEAN_FIXTURE, "max"), (CLEAN_FIXTURE, "min")],
+                             ids=["clean_row-max", "wm_row-min", "fixture-max", "fixture-min"])
+    def test_exact_extreme_matches_brute_force(self, sample, side):
+        # 800 exact extremes of N = 2000 KDE draws against 800 brute-force
+        # ones, from fixed seeds: a two-sample KS test must not reject
+        x = np.asarray(sample, dtype=float)
+        h = silverman_bandwidth(x)
+        sign = 1.0 if side == "max" else -1.0
+        rng = np.random.default_rng(31)
+        exact = [sign * kde_max(sign * x, h, 2000, rng) for _ in range(800)]
+        brute = sign * (sign * kde_sample(x, h, (800, 2000), 32)).max(axis=1)
+        assert scipy_stats.ks_2samp(exact, brute).pvalue > 0.01
+
+    def test_certificate_at_a_billion_draws_in_bounded_memory(self):
+        probe = ("import resource\n"
+                 "from linkmark.stats import dwt_threshold\n"
+                 "r = dwt_threshold([0.05, 0.08, 0.10, 0.12], [0.95, 0.96, 0.97, 0.98],\n"
+                 "                  n=10**9, gamma=0.9999, seed=5)\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, r.certificate)\n")
+        # Linux carries a process's peak RSS across fork and exec, so the
+        # probe is started from a small launcher rather than from pytest
+        launcher = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+        proc = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-c", probe],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        max_rss_kib, certificate = proc.stdout.split()
+        assert certificate == "True"
+        # 2m blocks of 1e9 draws would need some 10^11 bytes
+        assert int(max_rss_kib) < 200 * 1024
 
     def test_overlapping_samples_fall_back_to_sweep(self):
         rng = np.random.default_rng(15)
@@ -318,6 +360,20 @@ class TestDwtThreshold:
         assert not report.certificate
         assert any(f > 0 for f in report.observed_fpr + report.observed_fnr)
         assert clean.min() < report.threshold < wm.max()
+
+    def test_second_look_never_certifies(self):
+        # at these seeds the exact extremes overlap but the blocks drawn after
+        # them separate: no certificate, and the sweep's rates are all zero
+        clean, wm = [0.30, 0.35, 0.40, 0.45], [0.60, 0.65, 0.70, 0.75]
+        second_looks = 0
+        for seed in range(60):
+            got = dwt_threshold(clean, wm, n=20, gamma=0.95, seed=seed)
+            if got.certificate or not reference_dwt_threshold(clean, wm, 20, 0.95,
+                                                              seed).certificate:
+                continue
+            second_looks += 1
+            assert got.observed_fpr == got.observed_fnr == [0.0] * got.m
+        assert second_looks > 5
 
     def test_deterministic_per_seed(self):
         a = dwt_threshold(CLEAN_FIXTURE, WM_FIXTURE, n=1000, gamma=0.95, seed=17)
@@ -334,9 +390,12 @@ class TestDwtThreshold:
             rng = np.random.default_rng(15)
             clean, wm = rng.normal(0.45, 0.1, size=8), rng.normal(0.55, 0.1, size=8)
             gamma = 0.95
-        got = dwt_threshold(clean, wm, n=5000, gamma=gamma, seed=seed)
-        assert got.certificate == (inputs == "separating")
-        assert asdict(got) == asdict(reference_dwt_threshold(clean, wm, 5000, gamma, seed))
+        got = asdict(dwt_threshold(clean, wm, n=5000, gamma=gamma, seed=seed))
+        want = asdict(reference_dwt_threshold(clean, wm, 5000, gamma, seed))
+        assert got["certificate"] == (inputs == "separating")
+        if inputs == "separating":  # t comes from the exact extremes, not the blocks
+            del got["threshold"], want["threshold"]
+        assert got == want
 
     def test_sides_inverted(self):
         with pytest.raises(SidesInverted):
@@ -360,16 +419,13 @@ class TestDwtThreshold:
 
 
 class TestVerifyOwnership:
+    # owned means the trigger-set AUC is above the threshold, as in `dispute`
     def test_threshold_one_never_owned(self, watermarked_model, toy_watermark):
-        out = lm.verify_ownership(watermarked_model, toy_watermark, 1.0)
-        assert out["owned"] is False
+        assert not watermark_auc(watermarked_model, toy_watermark) > 1.0
 
     def test_watermarked_model_owned_at_sane_threshold(self, watermarked_model,
                                                        toy_watermark):
-        out = lm.verify_ownership(watermarked_model, toy_watermark, 0.7)
-        assert out["owned"] is True
-        assert out["auc"] > 0.7
+        assert watermark_auc(watermarked_model, toy_watermark) > 0.7
 
     def test_clean_model_not_owned(self, clean_model, toy_watermark):
-        out = lm.verify_ownership(clean_model, toy_watermark, 0.7)
-        assert out["owned"] is False
+        assert not watermark_auc(clean_model, toy_watermark) > 0.7

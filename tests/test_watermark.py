@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linkmark as lm
-from linkmark.watermark import (build_node_rep_wm, deserialize_wm,
+from linkmark.watermark import (NodeRepWatermark, build_node_rep_wm, deserialize_wm,
                                 gen_subgraph_wm, serialize_wm, watermark_vector)
 
 from conftest import edge_set
@@ -110,6 +110,44 @@ class TestNodeRepWatermark:
             flipped, labels = brute_force_flip(g, nodes)
             assert edge_set(wm.edges) == flipped
             assert {tuple(p): int(y) for p, y in zip(wm.pairs, wm.labels)} == labels
+
+    @pytest.mark.parametrize("kind", ["random", "empty", "complete"])
+    def test_matches_isin_formulation(self, kind):
+        # build_node_rep_wm as it was when np.isin found the edges
+        def isin_reference(g, nodes, vector):
+            nodes = np.sort(nodes)
+            iu, ju = np.triu_indices(len(nodes), k=1)
+            pairs = np.stack([nodes[iu], nodes[ju]], axis=1)
+            key = lambda p: p[:, 0] * g.num_nodes + p[:, 1]
+            labels = (~np.isin(key(pairs), key(g.edges))).astype(np.int64)
+            outside = g.edges[~np.isin(g.edges, nodes).all(axis=1)]
+            features = g.features.copy()
+            features[nodes] = vector
+            return NodeRepWatermark(g.num_nodes, nodes, pairs, labels,
+                                    np.concatenate([outside, pairs[labels == 1]]),
+                                    features, vector, 0.5)
+
+        rng = np.random.default_rng(41)
+        for trial in range(20):
+            n = int(rng.integers(3, 40))
+            if kind == "random":
+                g = lm.generate_sbm(2, (n + 1) // 2, 0.4, 0.1, seed=300 + trial)
+            else:
+                edges = np.argwhere(np.triu(np.ones((n, n)), 1)) if kind == "complete" else []
+                g = lm.Graph.from_edges(n, edges)
+            g = lm.init_features(g, 3, seed=400 + trial)
+            size = int(rng.integers(2, g.num_nodes + 1))
+            nodes = rng.choice(g.num_nodes, size=size, replace=False)
+            vector = watermark_vector(3, trial)
+            wm = build_node_rep_wm(g, nodes, vector, 0.5)
+            want = isin_reference(g, nodes, vector)
+            assert np.array_equal(wm.labels, want.labels)
+            assert np.array_equal(wm.edges, want.edges)
+            assert serialize_wm(wm) == serialize_wm(want)
+            if kind == "empty":
+                assert wm.labels.all()
+            elif kind == "complete":
+                assert not wm.labels.any()
 
     def test_rate_governs_subset_size(self):
         g = lm.generate_sbm(2, 20, 0.3, 0.1, seed=14)
