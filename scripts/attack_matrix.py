@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
-from linkmark.attacks import FINETUNE_MODES, attacker_split, make_report, run_attack
+from linkmark.attacks import ATTACKS, FINETUNE_MODES, attacker_split, make_report
 from linkmark.graph import load_dataset
 from linkmark.nn import LinkPredictor, TrainConfig
 from linkmark.util import derive_seed
@@ -21,7 +21,7 @@ from linkmark.watermark import load_wm
 
 # (CSV label stem, attack parameters); the label stem names the attack kind,
 # with the "finetune_" prefix dropped
-ATTACKS = (
+BATTERY = (
     [("finetune_" + m, {}) for m in FINETUNE_MODES]
     + [("prune", {"fraction": f}) for f in (0.2, 0.4, 0.6, 0.8)]
     + [("quantize", {"bits": 3})]
@@ -38,7 +38,7 @@ def run_task(task):
     model = LinkPredictor.load(paths["checkpoint"])
     attack_b, eval_b = attacker_split(ds, derive_seed(seed, "attacker"))
     cfg = TrainConfig(epochs=surrogate_epochs, hidden_dim=model.hidden_dim, seed=seed)
-    attacked = run_attack(name.removeprefix("finetune_"), model, attack_b, cfg, **params)
+    attacked = ATTACKS[name.removeprefix("finetune_")](model, attack_b, cfg, **params)
     label = name + "".join(f"_{v}" for v in params.values())
     return make_report(label, model, attacked, eval_b, wm, paths["threshold"])
 
@@ -57,10 +57,10 @@ def main() -> int:
                         help="comma-separated name prefixes to run (default: all)")
     args = parser.parse_args()
 
-    selected = ATTACKS
+    selected = BATTERY
     if args.attacks:
         prefixes = tuple(p.strip() for p in args.attacks.split(","))
-        selected = [(n, p) for n, p in ATTACKS if n.startswith(prefixes)]
+        selected = [(n, p) for n, p in BATTERY if n.startswith(prefixes)]
     paths = {"dataset": args.dataset, "wm": args.wm,
              "checkpoint": args.checkpoint, "threshold": args.threshold}
     tasks = [(name, params, paths, args.seed, args.surrogate_epochs)

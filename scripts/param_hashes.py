@@ -24,8 +24,8 @@ import hashlib  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from linkmark.attacks import ATTACK_KINDS, attacker_split, run_attack  # noqa: E402
-from linkmark.embed import EMBED_METHODS, embed_interleaved, embed_with_method  # noqa: E402
+from linkmark.attacks import ATTACKS, attacker_split  # noqa: E402
+from linkmark.embed import EMBED_METHODS, embed_interleaved  # noqa: E402
 from linkmark.graph import (build_subgraph_dataset, generate_sbm,  # noqa: E402
                             init_features, split_links)
 from linkmark.nn import (LinkPredictor, PairBatch, SubgraphBatch,  # noqa: E402
@@ -64,14 +64,14 @@ def main() -> int:
 
     for arch in ARCHS:
         cfg = TrainConfig(epochs=args.epochs, hidden_dim=16, seed=6, arch=arch)
-        for method in EMBED_METHODS:
-            model = embed_with_method(method, fresh(arch), train, wm_batch, cfg)
+        for method, embed in EMBED_METHODS.items():
+            model = embed(fresh(arch), train, wm_batch, cfg)
             lines.append((f"embed_{method}_{arch}", params_digest(model)))
 
         victim = embed_interleaved(fresh(arch), train, wm_batch, cfg)
         attack_batch, _ = attacker_split(ds, seed=7)
-        for kind in ATTACK_KINDS:
-            attacked = run_attack(kind, victim, attack_batch, cfg, epochs=args.epochs)
+        for kind, attack in ATTACKS.items():
+            attacked = attack(victim, attack_batch, cfg, epochs=args.epochs)
             lines.append((f"attack_{kind}_{arch}", params_digest(attacked)))
 
         _, grads, d_features = loss_and_grads(victim, train, with_feature_grads=True)

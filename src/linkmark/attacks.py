@@ -6,6 +6,7 @@ Every attack copies the incoming model, so runs are pure functions of
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -17,9 +18,6 @@ from .util import derive_seed
 from .watermark import watermark_auc
 
 FINETUNE_MODES = ("FTLL", "RTLL", "FTAL", "RTAL")
-ATTACK_KINDS = (FINETUNE_MODES + ("prune", "quantize")
-                + tuple(f"fine_prune_{m}" for m in FINETUNE_MODES)
-                + ("extract_soft", "extract_hard", "extract_double", "distill"))
 
 # utility drop an adversary is assumed unwilling to exceed
 UTILITY_DROP_LIMIT = 0.10
@@ -166,28 +164,32 @@ def distill(victim: LinkPredictor, student_arch: str, query_batch: PairBatch,
                cfg.learning_rate)
 
 
-def run_attack(kind: str, model: LinkPredictor, attack_batch, cfg: TrainConfig, *,
-               fraction: float = 0.2, bits: int = 3, epochs: int = 50, mix: float = 0.5,
+def _kind(run):
+    """An ATTACKS entry: run(model, attack_batch, cfg, p) behind the common
+    signature, where p holds the settings and `arch` is `surrogate_arch` or
+    the victim's."""
+    def attack(model: LinkPredictor, attack_batch, cfg: TrainConfig, *, fraction: float = 0.2,
+               bits: int = 3, epochs: int = 50, mix: float = 0.5,
                surrogate_arch: str | None = None) -> LinkPredictor:
-    """Run one removal attack by name (one of ATTACK_KINDS). Fine-tuning
-    runs `epochs` epochs seeded by cfg.seed; extraction and distillation
-    train a surrogate of `surrogate_arch` (default: the victim's) with cfg."""
-    arch = surrogate_arch or model.arch
-    if kind in FINETUNE_MODES:
-        return finetune(model, attack_batch, kind, epochs=epochs, seed=cfg.seed)
-    if kind == "prune":
-        return prune(model, fraction)
-    if kind == "quantize":
-        return quantize(model, bits)
-    if kind in ATTACK_KINDS and kind.startswith("fine_prune_"):
-        return fine_prune(model, fraction, kind.removeprefix("fine_prune_"), attack_batch,
-                          epochs=epochs, seed=cfg.seed)
-    if kind in ("extract_soft", "extract_hard", "extract_double"):
-        return extract(model, arch, "soft" if kind == "extract_soft" else "hard",
-                       2 if kind == "extract_double" else 1, attack_batch, cfg)
-    if kind == "distill":
-        return distill(model, arch, attack_batch, cfg, mix=mix)
-    raise ValueError(f"unknown attack {kind!r}")
+        return run(model, attack_batch, cfg, SimpleNamespace(fraction=fraction, bits=bits,
+                   epochs=epochs, mix=mix, arch=surrogate_arch or model.arch))
+    return attack
+
+
+# every removal attack by its `--kind` name. Fine-tuning runs `epochs` epochs
+# seeded by cfg.seed; extraction and distillation train a surrogate with cfg.
+ATTACKS = {
+    **{m: _kind(lambda v, b, cfg, p, m=m: finetune(v, b, m, epochs=p.epochs, seed=cfg.seed))
+       for m in FINETUNE_MODES},
+    "prune": _kind(lambda v, b, cfg, p: prune(v, p.fraction)),
+    "quantize": _kind(lambda v, b, cfg, p: quantize(v, p.bits)),
+    **{f"fine_prune_{m}": _kind(lambda v, b, cfg, p, m=m: fine_prune(
+        v, p.fraction, m, b, epochs=p.epochs, seed=cfg.seed)) for m in FINETUNE_MODES},
+    "extract_soft": _kind(lambda v, b, cfg, p: extract(v, p.arch, "soft", 1, b, cfg)),
+    "extract_hard": _kind(lambda v, b, cfg, p: extract(v, p.arch, "hard", 1, b, cfg)),
+    "extract_double": _kind(lambda v, b, cfg, p: extract(v, p.arch, "hard", 2, b, cfg)),
+    "distill": _kind(lambda v, b, cfg, p: distill(v, p.arch, b, cfg, mix=p.mix)),
+}
 
 
 def piracy_embed(stolen: LinkPredictor, pirated_wm, owner_wm, test_batch,

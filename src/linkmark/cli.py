@@ -8,7 +8,7 @@ SHA-256 of its input files and artifacts; a path never enters the settings
 or their ``config_sha256``. A failing command exits 1 with a JSON error on
 stderr.
 All randomness flows from the resolved ``seed`` through named streams. The
-fan-out commands ``threshold`` and ``reproduce-table1`` take ``--jobs``.
+fan-out command ``threshold`` (cohort training, then Table 1) takes ``--jobs``.
 """
 
 import argparse
@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import embed
-from .attacks import ATTACK_KINDS, attacker_split, make_report, run_attack
+from .attacks import ATTACKS, attacker_split, make_report
+from .embed import EMBED_METHODS
 from .graph import (SPLITS, build_subgraph_dataset, generate_sbm, init_features,
                     load_dataset, load_edge_list, load_features, save_dataset,
                     save_edge_list, split_links)
@@ -75,6 +75,8 @@ def _settings(args) -> dict:
             s[key] = flag if flag is not None else type(default)(config.get(key, default))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
+    if s["method"] not in EMBED_METHODS:
+        raise ValueError(f"config key 'method': unknown embedding method {s['method']!r}")
     return s
 
 
@@ -193,7 +195,7 @@ def cmd_train(args, s) -> int:
     wm_batch = load_wm(args.wm).batch() if args.wm else None
     model = LinkPredictor.init(cfg.arch, ds.features.shape[1], cfg.hidden_dim,
                                derive_seed(cfg.seed, "init"))
-    embed.embed_with_method(method, model, train, wm_batch, cfg)
+    EMBED_METHODS[method](model, train, wm_batch, cfg)
     model.save(args.out / "model.ckpt")
     params = {**{key: s[key] for key in ("arch", "hidden", "epochs", "lr", "seed")},
               "method": method}
@@ -229,7 +231,7 @@ def _threshold_task(task: dict) -> dict:
     model = LinkPredictor.init(cfg.arch, ds.features.shape[1], cfg.hidden_dim,
                                derive_seed(seed, "init"))
     method = "clean" if task["kind"] == "clean" else s["method"]
-    embed.embed_with_method(method, model, _split_batch(ds, params, "train"), wm.batch(), cfg)
+    EMBED_METHODS[method](model, _split_batch(ds, params, "train"), wm.batch(), cfg)
     return {"kind": task["kind"], "seed": seed, "auc_wm": watermark_auc(model, wm)}
 
 
@@ -246,14 +248,29 @@ def _cohort_aucs(args, s: dict):
                  for kind in ("clean", "wm"))
 
 
+def _write_table1(out: Path, clean: np.ndarray, wm: np.ndarray, seed: int) -> list:
+    """Table 1 of a cohort: its trigger AUCs, the Shapiro-Wilk p-value of each
+    side and the smoothed bootstrap p-value, as table1.json and table1.csv."""
+    p_boot = smoothed_bootstrap_test(clean, wm, replicates=100_000, seed=derive_seed(seed, "boot"))
+    doc = {"clean_auc_wm": clean.tolist(), "wm_auc_wm": wm.tolist(),
+           "shapiro_p_clean": shapiro_wilk(clean)[1], "shapiro_p_wm": shapiro_wilk(wm)[1],
+           "bootstrap_p": p_boot, "reject_null": p_boot < 0.05}
+    with open(out / "table1.json", "w") as fh:
+        json.dump(doc, fh, indent=2)
+    with open(out / "table1.csv", "w") as fh:
+        fh.write("score," + ",".join(f"i={i + 1}" for i in range(len(clean))) + "\n")
+        for name, sample in (("clean", clean), ("wm", wm)):
+            fh.write(name + "," + ",".join(f"{v:.4f}" for v in sample) + "\n")
+    return ["table1.json", "table1.csv"]
+
+
 def cmd_threshold(args, s) -> int:
     if args.clean_csv or args.wm_csv:
         if not (args.clean_csv and args.wm_csv):
             missing = "--wm-csv" if args.clean_csv else "--clean-csv"
             return _fail("missing_input", f"threshold needs {missing} too: it reads "
                                           "both sample CSVs or neither")
-        clean = read_samples_csv(args.clean_csv)
-        wm = read_samples_csv(args.wm_csv)
+        clean, wm = read_samples_csv(args.clean_csv), read_samples_csv(args.wm_csv)
     elif not (args.dataset and args.edges):
         return _fail("missing_input", "threshold needs --dataset and --edges "
                                       "unless sample CSVs are given")
@@ -263,21 +280,23 @@ def cmd_threshold(args, s) -> int:
         write_samples_csv(wm, args.out / "wm_aucs.csv")
     report = dwt_threshold(clean, wm, n=s["n"], gamma=s["gamma"],
                            seed=derive_seed(s["seed"], "dwt"))
+    artifacts = [] if args.clean_csv else ["clean_aucs.csv", "wm_aucs.csv",
+                                           *_write_table1(args.out, clean, wm, s["seed"])]
     return _emit(args, {"seed": s["seed"], "gamma": s["gamma"], "n": s["n"]},
-                 [], ("threshold.json", asdict(report)))
+                 artifacts, ("threshold.json", asdict(report)))
 
 
 def cmd_attack(args, s) -> int:
-    if args.kind not in ATTACK_KINDS:
+    if args.kind not in ATTACKS:
         return _fail("unknown_attack", f"unknown attack {args.kind!r}")
     ds = load_dataset(args.dataset)
     wm = load_wm(args.wm)
     model = LinkPredictor.load(args.checkpoint)
     attack_batch, eval_batch = attacker_split(ds, derive_seed(s["seed"], "attacker"))
-    attacked = run_attack(args.kind, model, attack_batch, _train_config(s),
-                          fraction=args.fraction, bits=args.bits,
-                          epochs=args.finetune_epochs, mix=args.mix,
-                          surrogate_arch=args.surrogate_arch)
+    attacked = ATTACKS[args.kind](model, attack_batch, _train_config(s),
+                                  fraction=args.fraction, bits=args.bits,
+                                  epochs=args.finetune_epochs, mix=args.mix,
+                                  surrogate_arch=args.surrogate_arch)
     report = make_report(args.kind, model, attacked, eval_batch, wm, args.threshold)
     params = {"seed": s["seed"], "kind": args.kind, "threshold": args.threshold}
     return _emit(args, params, [], (f"attack_{args.kind}.json", asdict(report)))
@@ -340,27 +359,6 @@ def cmd_report(args, s) -> int:
                  ["mainResults.csv"], line=f"wrote {path}")
 
 
-def cmd_reproduce_table1(args, s) -> int:
-    clean, wm = _cohort_aucs(args, s)
-    _, p_clean = shapiro_wilk(clean)
-    _, p_wm = shapiro_wilk(wm)
-    p_boot = smoothed_bootstrap_test(clean, wm, replicates=100_000,
-                                     seed=derive_seed(s["seed"], "boot"))
-    doc = {"clean_auc_wm": clean, "wm_auc_wm": wm,
-           "shapiro_p_clean": p_clean, "shapiro_p_wm": p_wm,
-           "bootstrap_p": p_boot, "reject_null": p_boot < 0.05}
-    with open(args.out / "table1.csv", "w") as fh:
-        fh.write("score," + ",".join(f"i={i+1}" for i in range(s["models"])) + "\n")
-        fh.write("clean," + ",".join(f"{v:.4f}" for v in clean) + "\n")
-        fh.write("wm," + ",".join(f"{v:.4f}" for v in wm) + "\n")
-    line = json.dumps({k: doc[k] for k in ("shapiro_p_clean", "shapiro_p_wm",
-                                           "bootstrap_p", "reject_null")})
-    if doc["reject_null"]:
-        line += "\nnull hypothesis of equal means REJECTED (p < 0.05)"
-    return _emit(args, {"seed": s["seed"], "models": s["models"]},
-                 ["table1.json", "table1.csv"], ("table1.json", doc), line)
-
-
 # Flags shared by several commands. In a command's flag list, a trailing "!"
 # makes the flag required there.
 FLAGS = {
@@ -403,17 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("train", cmd_train, "train a model, optionally embedding a watermark",
                 "config seed out dataset! wm")
-    p.add_argument("--method", choices=["clean", "genie", "finetune", "poison",
-                                        "uniform", "mgda"])
+    p.add_argument("--method", choices=list(EMBED_METHODS))
     p.add_argument("--epochs", type=int, help="training epochs")
 
     command("eval", cmd_eval, "evaluate a checkpoint", "config out dataset! checkpoint! wm")
-    command("threshold", cmd_threshold, "train clean/watermarked cohorts and set the threshold",
+    command("threshold", cmd_threshold, "set the threshold from sample CSVs or a trained cohort",
             "config seed out jobs dataset edges features models gamma n clean-csv wm-csv")
 
     p = command("attack", cmd_attack, "run one removal attack and report the verdict",
                 "config seed out dataset! checkpoint! wm!")
-    p.add_argument("--kind", required=True, help=", ".join(ATTACK_KINDS))
+    p.add_argument("--kind", required=True, help=", ".join(ATTACKS))
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--fraction", type=float, default=0.2)
     p.add_argument("--bits", type=int, default=3)
@@ -437,10 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("report", cmd_report, "render collected eval reports as the "
                                       "mainResults CSV table", "out")
     p.add_argument("--runs", required=True, help="directory tree of eval outputs")
-
-    command("reproduce-table1", cmd_reproduce_table1,
-            "train clean/watermarked cohorts and print the normality and "
-            "bootstrap statistics", "config seed out jobs dataset! edges! features models")
     return parser
 
 

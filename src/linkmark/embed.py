@@ -123,6 +123,8 @@ def _clean_then_finetune(model, train_batch, wm_batch, cfg):
     return embed_finetune_baseline(train_clean(model, train_batch, cfg), wm_batch, cfg)
 
 
+# fn(model, train_batch, wm_batch, cfg) by `--method` name. "clean" ignores the trigger
+# set; "finetune" trains clean for cfg.epochs, then on the trigger set for 50 epochs.
 EMBED_METHODS = {
     "clean": lambda model, train_batch, wm_batch, cfg: train_clean(model, train_batch, cfg),
     "genie": embed_interleaved,
@@ -131,13 +133,3 @@ EMBED_METHODS = {
     "uniform": embed_uniform_baseline,
     "mgda": embed_mgda_baseline,
 }
-
-
-def embed_with_method(method: str, model: LinkPredictor, train_batch, wm_batch,
-                      cfg: TrainConfig) -> LinkPredictor:
-    """Dispatch on the method name. "clean" ignores the trigger
-    set; "finetune" first trains a clean model for cfg.epochs, then
-    fine-tunes on the trigger set for 50 epochs."""
-    if method not in EMBED_METHODS:
-        raise ValueError(f"unknown embedding method {method!r}")
-    return EMBED_METHODS[method](model, train_batch, wm_batch, cfg)

@@ -41,7 +41,6 @@ from types import MappingProxyType
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Subgraph
 from .util import Cursor
 
 GCN = "gcn"
@@ -305,16 +304,6 @@ def positive_scores(logits: np.ndarray) -> np.ndarray:
     return log_softmax(logits)[:, 1]
 
 
-def nll_loss(logits: np.ndarray, labels: np.ndarray):
-    """Mean negative log likelihood and its gradient w.r.t. the logits."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2 or len(labels) != len(logits):
-        raise ValueError("logits must be N x C with one label per row")
-    if np.any((labels < 0) | (labels >= logits.shape[1])):
-        raise ValueError("labels out of range")
-    return cross_entropy(logits, np.eye(logits.shape[1])[labels])
-
-
 def cross_entropy(logits: np.ndarray, targets: np.ndarray, n: int | None = None):
     """Cross entropy against a target distribution per row, summed over rows
     and divided by `n` (default: the row count), and its logit gradient. NLL
@@ -437,11 +426,6 @@ def _segment_forward(model: LinkPredictor, maps: tuple, features: list,
                       out=_slot(ws, "factors", (2 * n, hidden))).reshape(2, n, hidden)
     x = np.multiply(*factors, out=_slot(ws, "x", (n, hidden)))
     return enc, factors, _forward(model, "dec", x, ws=ws)
-
-
-def classify_subgraph(model: LinkPredictor, sg: Subgraph) -> np.ndarray:
-    """2 logits for one subgraph: encode, mean-pool nodes, decode."""
-    return batch_logits(model, SubgraphBatch([sg], [sg.label]))[0]
 
 
 def batch_logits(model: LinkPredictor, batch) -> np.ndarray:

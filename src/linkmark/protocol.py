@@ -188,7 +188,7 @@ class ServeSession:
         self.model = model
         # the graph state is fixed for the session, so encode once
         self.embeddings = encode(model, adjacency.tocsr(), np.asarray(features, dtype=float))
-        self.flip_pairs = wm.internal_pair_set() if (defense and wm) else frozenset()
+        self.flip_nodes = frozenset(wm.nodes.tolist()) if (defense and wm) else frozenset()
         self._rows, self._cached = {}, 0
         self.counts = dict.fromkeys(("answered", "err_parse", "err_range", "err_self_pair",
                                      "row_hits", "row_misses", "row_over_cap"), 0)
@@ -221,7 +221,7 @@ class ServeSession:
             tally = "row_misses"
         self.counts[tally] += 1
         p_pos = float(row[b - a - 1] if row is not None else self._p_pos([[a, b]])[0])
-        if (a, b) in self.flip_pairs:
+        if a in self.flip_nodes and b in self.flip_nodes:
             p_pos = 1.0 - p_pos
         self.counts["answered"] += 1
         return p_pos > 0.5, p_pos

@@ -43,6 +43,14 @@ def watermark_vector(dim: int, seed: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=dim)
 
 
+def _binary_labels(labels) -> np.ndarray:
+    labels = np.asarray(labels, dtype=np.int64)
+    bad = labels[(labels != 0) & (labels != 1)]
+    if bad.size:
+        raise ValueError(f"trigger labels must be 0 or 1, got {int(bad[0])}")
+    return labels
+
+
 class NodeRepWatermark:
     """Trigger set for node-representation models: modified graph state plus
     labeled internal pairs of the sampled subset."""
@@ -55,7 +63,7 @@ class NodeRepWatermark:
         self.num_nodes = int(num_nodes)
         self.nodes = np.asarray(nodes, dtype=np.int64)
         self.pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        self.labels = np.asarray(labels, dtype=np.int64)
+        self.labels = _binary_labels(labels)
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         self.edges = _edge_rows(edges[np.lexsort(edges.T[::-1])], self.num_nodes, "edge")
         self.features = np.asarray(features, dtype=float)
@@ -85,7 +93,7 @@ class SubgraphWatermark:
     def __init__(self, subgraphs, labels: np.ndarray, vector: np.ndarray,
                  rate: float, indices=None):
         self.subgraphs = list(subgraphs)
-        self.labels = np.asarray(labels, dtype=np.int64)
+        self.labels = _binary_labels(labels)
         self.vector = np.asarray(vector, dtype=float)
         self.rate = float(rate)
         self.indices = None if indices is None else np.asarray(indices, dtype=np.int64)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from linkmark import cli, graph
-from linkmark.attacks import ATTACK_KINDS
+from linkmark.attacks import ATTACKS
 from linkmark.cli import _settings, _train_config, _wm_params, build_parser, main
 from linkmark.graph import load_dataset
 from linkmark.nn import LinkPredictor, TrainConfig
@@ -21,8 +21,7 @@ from conftest import BAD_CHECKPOINTS
 REPO = Path(__file__).resolve().parent.parent
 
 SUBCOMMANDS = ["datagen", "split", "wm-gen", "train", "eval", "threshold",
-               "attack", "register", "dispute", "serve", "report",
-               "reproduce-table1"]
+               "attack", "register", "dispute", "serve", "report"]
 
 
 def write_config(tmp_path, **extra):
@@ -397,7 +396,7 @@ class TestAttackCommand:
         assert report["threshold"] == 0.6
 
 
-    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    @pytest.mark.parametrize("kind", ATTACKS)
     def test_every_kind_runs(self, pipeline, tmp_path, kind):
         out, _ = pipeline
         cfg = write_config(tmp_path, epochs=2, hidden=8)
@@ -413,13 +412,13 @@ class TestAttackCommand:
     def test_epochs_flag_leaves_surrogate_epochs(self, pipeline, tmp_path, monkeypatch):
         out, _ = pipeline
         seen = {}
-        real = cli.run_attack
+        real = ATTACKS["extract_soft"]
 
-        def spy(kind, model, batch, cfg, **kw):
+        def spy(model, batch, cfg, **kw):
             seen.update(surrogate=cfg.epochs, finetune=kw["epochs"])
-            return real(kind, model, batch, cfg, **kw)
+            return real(model, batch, cfg, **kw)
 
-        monkeypatch.setattr(cli, "run_attack", spy)
+        monkeypatch.setitem(ATTACKS, "extract_soft", spy)
         cfg = write_config(tmp_path, epochs=3, hidden=8)
         rc = main(["attack", "--out", str(tmp_path), "--seed", "5", "--config", str(cfg),
                    "--dataset", str(out / "dataset.npz"), "--checkpoint",
@@ -599,14 +598,12 @@ def test_train_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
 
 
 def test_jobs_env_var_fallback(monkeypatch):
-    """--jobs defaults to 1 on the two fan-out commands, is absent from the
+    """--jobs defaults to 1 on the fan-out command, is absent from the
     others, and no environment variable changes it."""
     parser = build_parser()
     monkeypatch.setenv("GENIE_LPWM_JOBS", "3")
     assert parser.parse_args(["threshold"]).jobs == 1
     assert parser.parse_args(["threshold", "--jobs", "5"]).jobs == 5
-    assert parser.parse_args(["reproduce-table1", "--dataset", "d", "--edges", "e",
-                              "--jobs", "5"]).jobs == 5
     with pytest.raises(SystemExit):
         parser.parse_args(["split", "--edges", "e", "--jobs", "2"])
 
@@ -630,6 +627,8 @@ def test_end_to_end_script_plaintiff_wins(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     verdict = json.loads((tmp_path / "verdict.json").read_text())
     assert verdict["winner"] == "plaintiff"
+    # the threshold step's cohort also writes Table 1
+    assert len((tmp_path / "table1.csv").read_text().strip().splitlines()) == 3
 
 
 def test_subgraph_pathway_through_cli(pipeline, tmp_path):
@@ -699,6 +698,31 @@ def test_eval_rejects_dataset_with_bad_split_code(pipeline, tmp_path, capsys):
     assert doc["error"] == "invalid_input" and "split codes" in doc["message"]
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_trigger_label_outside_0_1_is_invalid_input(pipeline, tmp_path, capsys, command):
+    out, cfg = pipeline
+    wm = load_wm(out / "trigger.gwm")
+    wm.labels[0] = 255
+    save_wm(wm, tmp_path / "bad.gwm")
+    flags = ["--checkpoint", str(out / "model.ckpt")] if command == "eval" else []
+    rc = main([command, "--out", str(tmp_path), "--config", str(cfg), "--dataset",
+               str(out / "dataset.npz"), "--wm", str(tmp_path / "bad.gwm"), *flags])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "invalid_input" and "0 or 1, got 255" in doc["message"]
+
+
+def test_unknown_config_method_is_invalid_input(pipeline, tmp_path, capsys):
+    out, _ = pipeline
+    cfg = write_config(tmp_path, method="bogus")
+    rc = main(["train", "--out", str(tmp_path), "--config", str(cfg), "--dataset",
+               str(out / "dataset.npz"), "--wm", str(out / "trigger.gwm")])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "invalid_input" and "'bogus'" in doc["message"]
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_attack_matrix_script_subset(pipeline, tmp_path):
     out, _ = pipeline
     csv_path = tmp_path / "matrix.csv"
@@ -719,15 +743,6 @@ def test_attack_matrix_script_subset(pipeline, tmp_path):
         assert line.split(",")[-1] in ("watermark_success", "watermark_failure")
 
 
-def test_cohort_stats_script_small(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "cohort_stats.py"), "--out", str(tmp_path),
-         "--models", "4", "--epochs", "5", "--jobs", "1"],
-        capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert len((tmp_path / "table1.csv").read_text().strip().splitlines()) == 3
-
-
 def test_param_hashes_script_small():
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "param_hashes.py"), "--epochs", "1"],
@@ -737,17 +752,29 @@ def test_param_hashes_script_small():
 
 
 def test_reproduce_table1_small(pipeline, tmp_path):
+    """A cohort `threshold` writes Table 1 beside the sample CSVs, and the same
+    bytes at --jobs 4 and --jobs 1: pool workers inherit the pinned BLAS
+    threads through the environment."""
     out, cfg = pipeline
-    rc = main(["reproduce-table1", "--out", str(tmp_path), "--seed", "11",
-               "--dataset", str(out / "dataset.npz"), "--edges",
-               str(out / "graph.edges"), "--features", str(out / "graph.features"),
-               "--models", "4", "--jobs", "4", "--config", str(cfg)])
-    assert rc == 0
-    doc = json.loads((tmp_path / "table1.json").read_text())
+
+    def run(name, jobs):
+        rc = main(["threshold", "--out", str(tmp_path / name), "--seed", "11",
+                   "--dataset", str(out / "dataset.npz"), "--edges",
+                   str(out / "graph.edges"), "--features", str(out / "graph.features"),
+                   "--models", "4", "--jobs", jobs, "--config", str(cfg)])
+        assert rc == 0
+        return {f: (tmp_path / name / f).read_bytes()
+                for f in ("clean_aucs.csv", "wm_aucs.csv", "table1.json")}
+
+    pooled = run("pooled", "4")
+    doc = json.loads(pooled["table1.json"])
     assert len(doc["clean_auc_wm"]) == 4
     assert len(doc["wm_auc_wm"]) == 4
     assert all(a > c for a, c in zip(sorted(doc["wm_auc_wm"]),
                                      sorted(doc["clean_auc_wm"])))
-    csv_lines = (tmp_path / "table1.csv").read_text().strip().splitlines()
+    csv_lines = (tmp_path / "pooled" / "table1.csv").read_text().strip().splitlines()
     assert csv_lines[0].startswith("score,i=1")
     assert len(csv_lines) == 3
+    manifest = json.loads((tmp_path / "pooled" / "threshold_manifest.json").read_text())
+    assert {"table1.json", "table1.csv"} <= set(manifest["artifacts"])
+    assert run("serial", "1") == pooled

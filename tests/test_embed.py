@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import linkmark as lm
-from linkmark.embed import NonFiniteLoss, min_norm_coefficient
+from linkmark.embed import EMBED_METHODS, NonFiniteLoss, min_norm_coefficient
 from linkmark.nn import AdamState, SubgraphBatch, adam_step, loss_and_grads
 
 
@@ -119,8 +119,7 @@ class TestBaselines:
         model = fresh_model()
         before = model.clone()
         cfg = lm.TrainConfig(epochs=0, hidden_dim=32, seed=5)
-        lm.embed_with_method(method, model, toy_batches["train"],
-                             toy_watermark.batch(), cfg)
+        EMBED_METHODS[method](model, toy_batches["train"], toy_watermark.batch(), cfg)
         assert params_equal(model, before)
 
     def test_finetune_baseline_zero_epochs(self, toy_batches, toy_watermark):
@@ -150,8 +149,8 @@ class TestBaselines:
     def test_all_methods_keep_test_auc_above_chance(self, method, toy_batches,
                                                     toy_watermark):
         cfg = lm.TrainConfig(epochs=120, hidden_dim=32, seed=5)
-        model = lm.embed_with_method(method, fresh_model(), toy_batches["train"],
-                                     toy_watermark.batch(), cfg)
+        model = EMBED_METHODS[method](fresh_model(), toy_batches["train"],
+                                      toy_watermark.batch(), cfg)
         assert lm.evaluate_auc(model, toy_batches["test"]) >= 0.5
 
     def test_interleaved_drop_no_worse_than_uniform(self, toy_graph):
@@ -169,8 +168,7 @@ class TestBaselines:
             clean = lm.train_clean(fresh_model(seed), train_b, cfg)
             base = lm.evaluate_auc(clean, test_b)
             for method in drops:
-                model = lm.embed_with_method(method, fresh_model(seed), train_b,
-                                             wm.batch(), cfg)
+                model = EMBED_METHODS[method](fresh_model(seed), train_b, wm.batch(), cfg)
                 drops[method].append(base - lm.evaluate_auc(model, test_b))
         assert np.mean(drops["genie"]) <= np.mean(drops["uniform"]) + 0.01
 

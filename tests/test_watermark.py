@@ -335,12 +335,30 @@ class TestMalformedBlobs:
                                                ("label", 256)])
     def test_writer_refuses_to_wrap(self, toy_watermark, column, value):
         wm = toy_watermark
-        pairs, labels = wm.pairs.copy(), wm.labels.copy()
+        pairs = wm.pairs.copy()
         if column == "pair":
             pairs[0, 0] = value
-        else:
-            labels[0] = value
-        bad = lm.NodeRepWatermark(wm.num_nodes, wm.nodes, pairs, labels, wm.edges,
+        bad = lm.NodeRepWatermark(wm.num_nodes, wm.nodes, pairs, wm.labels.copy(), wm.edges,
                                   wm.features, wm.vector, wm.rate)
+        if column == "label":  # the constructor refuses it, so set it after
+            bad.labels[0] = value
         with pytest.raises(ValueError, match="outside"):
             serialize_wm(bad)
+
+    @pytest.mark.parametrize("kind", ["node_rep", "subgraph"])
+    def test_trigger_labels_outside_0_1_rejected(self, kind):
+        """A trigger label other than 0 or 1 is refused by the constructor and
+        by the reader, which would otherwise score a pair labelled 2 as neither
+        class."""
+        wm = deserialize_wm(small_blobs()[kind])
+        labels = wm.labels.copy()
+        labels[0] = 2
+        with pytest.raises(ValueError, match="0 or 1, got 2"):
+            if kind == "node_rep":
+                NodeRepWatermark(wm.num_nodes, wm.nodes, wm.pairs, labels, wm.edges,
+                                 wm.features, wm.vector, wm.rate)
+            else:
+                lm.SubgraphWatermark(wm.subgraphs, labels, wm.vector, wm.rate)
+        wm.labels[0] = 2  # past the constructor: the writer stores any byte
+        with pytest.raises(ValueError, match="0 or 1, got 2"):
+            deserialize_wm(serialize_wm(wm))
