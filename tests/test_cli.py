@@ -743,6 +743,24 @@ def test_attack_matrix_script_subset(pipeline, tmp_path):
         assert line.split(",")[-1] in ("watermark_success", "watermark_failure")
 
 
+def test_cohort_stats_script_small(tmp_path):
+    """A fresh synthetic graph's small cohort, run as separate CLI processes
+    (datagen, split, then a cohort `threshold`), writes the three-line Table 1."""
+    cfg = write_config(tmp_path, per_block=50, epochs=5)
+    cli_cmd = [sys.executable, "-m", "linkmark.cli"]
+    for cmd in (["datagen", "--config", str(cfg)],
+                ["split", "--edges", str(tmp_path / "graph.edges"),
+                 "--features", str(tmp_path / "graph.features"), "--config", str(cfg)],
+                ["threshold", "--dataset", str(tmp_path / "dataset.npz"),
+                 "--edges", str(tmp_path / "graph.edges"),
+                 "--features", str(tmp_path / "graph.features"), "--models", "4",
+                 "--jobs", "1", "--config", str(cfg)]):
+        proc = subprocess.run(cli_cmd + cmd + ["--out", str(tmp_path), "--seed", "7"],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert len((tmp_path / "table1.csv").read_text().strip().splitlines()) == 3
+
+
 def test_param_hashes_script_small():
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "param_hashes.py"), "--epochs", "1"],
