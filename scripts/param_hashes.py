@@ -3,10 +3,12 @@
 trees can be compared bit for bit: run this script on both and diff the
 outputs.
 
-The 48 recipes on a small two-block SBM graph: trained parameters of the six
+The 50 lines on a small two-block SBM graph: trained parameters of the six
 embedding methods for gcn and sage; every attack kind against a gcn and a
-sage victim; feature gradients and `score_pairs` logits per arch; and a gcn
-and a sage subgraph run (trained parameters, then test-batch logits).
+sage victim; feature gradients and `score_pairs` logits per arch; a gcn and
+a sage subgraph run (trained parameters, then test-batch logits); and the
+`serialize_wm` bytes of the node-rep and subgraph trigger sets, which are
+what registration hashes.
 
 Results depend on the BLAS thread count, so the script pins BLAS to one
 thread unless the environment already sets it. Example:
@@ -30,7 +32,8 @@ from linkmark.graph import (build_subgraph_dataset, generate_sbm,  # noqa: E402
                             init_features, split_links)
 from linkmark.nn import (LinkPredictor, PairBatch, SubgraphBatch,  # noqa: E402
                          TrainConfig, batch_logits, encode, loss_and_grads, score_pairs)
-from linkmark.watermark import gen_node_rep_wm, gen_subgraph_wm, watermark_vector  # noqa: E402
+from linkmark.watermark import (gen_node_rep_wm, gen_subgraph_wm, serialize_wm,  # noqa: E402
+                                watermark_vector)
 
 ARCHS = ("gcn", "sage")
 
@@ -56,7 +59,8 @@ def main() -> int:
     ds = split_links(g, (0.8, 0.1, 0.1), seed=3)
     train = PairBatch(ds.mp_adjacency, ds.features, *ds.split_arrays("train"))
     test_pairs = ds.split_arrays("test")[0]
-    wm_batch = gen_node_rep_wm(g, 0.2, seed=4).batch()
+    node_rep_wm = gen_node_rep_wm(g, 0.2, seed=4)
+    wm_batch = node_rep_wm.batch()
     lines = []
 
     def fresh(arch, seed=5):
@@ -83,7 +87,8 @@ def main() -> int:
 
     sg_train = build_subgraph_dataset(ds, 1, "train")
     sg_test = build_subgraph_dataset(ds, 1, "test")
-    sg_wm = gen_subgraph_wm(sg_train, 0.1, watermark_vector(8, 8), seed=9).batch()
+    sg_trigger = gen_subgraph_wm(sg_train, 0.1, watermark_vector(8, 8), seed=9)
+    sg_wm = sg_trigger.batch()
     for arch in ARCHS:
         cfg = TrainConfig(epochs=args.epochs, hidden_dim=16, seed=10, arch=arch)
         model = embed_interleaved(fresh(arch, seed=11),
@@ -92,6 +97,9 @@ def main() -> int:
         lines.append((f"subgraph_train_{arch}", params_digest(model)))
         test = SubgraphBatch(sg_test, [sg.label for sg in sg_test])
         lines.append((f"subgraph_logits_{arch}", digest(batch_logits(model, test))))
+
+    for name, wm in (("gwm_node_rep", node_rep_wm), ("gwm_subgraph", sg_trigger)):
+        lines.append((name, hashlib.sha256(serialize_wm(wm)).hexdigest()[:16]))
 
     for name, value in lines:
         print(name, value)

@@ -38,6 +38,16 @@ class NoNegativesAvailable(ValueError):
 MAX_NODES = math.isqrt(2 ** 63 - 1)
 
 
+def pair_order(pairs: np.ndarray) -> np.ndarray:
+    """Stable (u, v) order of N x 2 int64 rows, the canonical pair order. Ids in [0, 2**32)
+    (every `.gwm` id and every id below MAX_NODES) sort as one uint64 key u * 2**32 + v;
+    other rows, which every caller refuses, sort lexicographically and name the same row."""
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= 2 ** 32):
+        return np.lexsort(pairs.T[::-1])
+    u, v = pairs.T.astype(np.uint64)
+    return np.argsort(u << np.uint64(32) | v, kind="stable")
+
+
 def _edge_rows(edges, num_nodes: int, what: str) -> np.ndarray:
     """`edges` as a read-only E x 2 int64 array of sorted, distinct u < v < num_nodes rows."""
     edges = np.asarray(edges, dtype=np.int64)
@@ -78,9 +88,10 @@ class Graph:
     def from_edges(cls, num_nodes: int, edges, features: np.ndarray | None = None) -> "Graph":
         """Graph from (u, v) pairs in any orientation and order; repeats merge."""
         edges = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
-        if features is None:
-            features = np.zeros((num_nodes, 0))
-        return cls(num_nodes, np.unique(edges, axis=0), np.asarray(features, dtype=float))
+        edges = edges[pair_order(edges)]
+        edges = np.concatenate([edges[:1], edges[1:][(edges[1:] != edges[:-1]).any(axis=1)]])
+        features = np.zeros((num_nodes, 0)) if features is None else features
+        return cls(num_nodes, edges, np.asarray(features, dtype=float))
 
     @property
     def num_edges(self) -> int:

@@ -10,9 +10,9 @@ Subgraph pathway: sample a fraction of the training subgraphs, invert their
 labels, and replace every node feature row with the secret vector; structure
 is untouched.
 
-`.gwm` files hold the canonical little-endian serialization below, which is
-what registration hashes. Pair and edge lists are sorted, so equal watermarks
-always produce identical bytes.
+`.gwm` files hold the canonical little-endian serialization below, which registration
+hashes. Pairs and edges sort by the integer key of `graph.pair_order`, so equal watermarks
+give identical bytes. Trigger sets keep their own copies of the arrays they are given.
 """
 
 import itertools
@@ -22,7 +22,7 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, Subgraph, _edge_rows, edges_to_adjacency
+from .graph import Graph, Subgraph, _edge_rows, edges_to_adjacency, pair_order
 from .nn import PairBatch, SubgraphBatch, evaluate_auc
 from .util import Cursor
 
@@ -44,7 +44,7 @@ def watermark_vector(dim: int, seed: int) -> np.ndarray:
 
 
 def _binary_labels(labels) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.array(labels, dtype=np.int64)
     bad = labels[(labels != 0) & (labels != 1)]
     if bad.size:
         raise ValueError(f"trigger labels must be 0 or 1, got {int(bad[0])}")
@@ -61,13 +61,13 @@ class NodeRepWatermark:
                  labels: np.ndarray, edges, features: np.ndarray,
                  vector: np.ndarray, rate: float):
         self.num_nodes = int(num_nodes)
-        self.nodes = np.asarray(nodes, dtype=np.int64)
-        self.pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        self.nodes = np.array(nodes, dtype=np.int64)
+        self.pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         self.labels = _binary_labels(labels)
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        self.edges = _edge_rows(edges[np.lexsort(edges.T[::-1])], self.num_nodes, "edge")
-        self.features = np.asarray(features, dtype=float)
-        self.vector = np.asarray(vector, dtype=float)
+        self.edges = _edge_rows(edges[pair_order(edges)], self.num_nodes, "edge")
+        self.features = np.array(features, dtype=float)
+        self.vector = np.array(vector, dtype=float)
         self.rate = float(rate)
 
     def adjacency(self) -> sp.csr_matrix:
@@ -94,9 +94,9 @@ class SubgraphWatermark:
                  rate: float, indices=None):
         self.subgraphs = list(subgraphs)
         self.labels = _binary_labels(labels)
-        self.vector = np.asarray(vector, dtype=float)
+        self.vector = np.array(vector, dtype=float)
         self.rate = float(rate)
-        self.indices = None if indices is None else np.asarray(indices, dtype=np.int64)
+        self.indices = None if indices is None else np.array(indices, dtype=np.int64)
         if len(self.subgraphs) != len(self.labels):
             raise ValueError("one label per subgraph required")
 
@@ -134,12 +134,12 @@ def build_node_rep_wm(g: Graph, nodes: np.ndarray, vector: np.ndarray,
     found = np.append(edge_keys, -1)[np.searchsorted(edge_keys, pair_keys)]
     labels = (found != pair_keys).astype(np.int64)
     in_trigger = np.bincount(nodes, minlength=g.num_nodes).astype(bool)
-    outside = g.edges[~in_trigger[g.edges].all(axis=1)]
-    features = g.features.copy()
-    features[nodes] = vector
-    return NodeRepWatermark(g.num_nodes, nodes, pairs, labels,
-                            np.concatenate([outside, pairs[labels == 1]]),
-                            features, vector, rate)
+    outside = g.edges[~(in_trigger[g.edges[:, 0]] & in_trigger[g.edges[:, 1]])]
+    wm = NodeRepWatermark(g.num_nodes, nodes, pairs, labels,
+                          np.concatenate([outside, pairs[labels == 1]]),
+                          g.features, vector, rate)
+    wm.features[nodes] = vector  # the watermark's own copy of the features
+    return wm
 
 
 def gen_subgraph_wm(train_subgraphs, rate: float, vector: np.ndarray,
@@ -182,12 +182,11 @@ def _counted(dtype: np.dtype, what: str, rows) -> bytes:
 def serialize_wm(wm) -> bytes:
     """Canonical byte encoding; registration hashes these bytes."""
     if isinstance(wm, NodeRepWatermark):
-        order = np.lexsort((wm.pairs[:, 1], wm.pairs[:, 0]))
         return b"".join([
             struct.pack("<4sBIId", _MAGIC, _KIND_NODE_REP, wm.num_nodes,
                         wm.features.shape[1], wm.rate),
             _counted(_ID, "node", np.sort(wm.nodes)),
-            _counted(_PAIR, "pair", np.column_stack([wm.pairs, wm.labels])[order]),
+            _counted(_PAIR, "pair", np.column_stack([wm.pairs, wm.labels])[pair_order(wm.pairs)]),
             _counted(_EDGE, "edge", wm.edges),
             np.asarray(wm.vector, dtype="<f8").tobytes(),
             np.ascontiguousarray(wm.features, dtype="<f8").tobytes()])

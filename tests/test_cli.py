@@ -766,7 +766,9 @@ def test_param_hashes_script_small():
         [sys.executable, str(REPO / "scripts" / "param_hashes.py"), "--epochs", "1"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert len(proc.stdout.strip().splitlines()) == 48
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) == 50  # 48 recipes, then the bytes of the two trigger sets
+    assert [line.split()[0] for line in lines[-2:]] == ["gwm_node_rep", "gwm_subgraph"]
 
 
 def test_reproduce_table1_small(pipeline, tmp_path):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import linkmark as lm
 from linkmark.graph import (MAX_NODES, SPLITS, EdgeListParseError, FeatureParseError,
-                            NoNegativesAvailable, SelfLoopError, load_dataset,
-                            load_features, save_dataset, save_edge_list)
+                            NoNegativesAvailable, SelfLoopError, _edge_rows, load_dataset,
+                            load_features, pair_order, save_dataset, save_edge_list)
 
 from conftest import edge_set
 
@@ -330,6 +330,76 @@ class TestEdgeArrays:
         for array in (toy_graph.edges, toy_graph.features, sg.node_ids, sg.local_edges):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+
+def pair_rows(kind: str, rng: np.random.Generator) -> np.ndarray:
+    """An N x 2 int64 row set of the given kind, ids in [0, 2**32)."""
+    n = int(rng.integers(2, 40))
+    if kind == "random":
+        return rng.integers(0, n, size=(int(rng.integers(1, 4 * n)), 2))
+    if kind == "wide":  # ids spread over the whole u4 range, both ends included
+        top = 2**32 - 1
+        rows = rng.integers(0, 2**32, size=(3 * n, 2))
+        rows[:6] = [[top, 0], [0, top], [top, top], [0, 0], [1, 0], [top - 1, top]]
+        return rng.permutation(rows)
+    if kind == "empty":
+        return np.zeros((0, 2), dtype=np.int64)
+    if kind == "complete":  # every ordered pair, shuffled
+        return rng.permutation(np.argwhere(np.ones((n, n))))
+    if kind == "reversed":
+        return np.argwhere(np.triu(np.ones((n, n)), 1))[::-1]
+    assert kind == "duplicates"  # few distinct rows, each many times
+    return rng.integers(0, 3, size=(4 * n, 2))
+
+
+def unique_rows(edges):
+    """`Graph.from_edges`'s edge rows as np.unique over rows built them."""
+    return np.unique(np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1), axis=0)
+
+
+def raised(fn, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestPairOrder:
+    KINDS = ["random", "wide", "empty", "complete", "reversed", "duplicates"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_lexsort(self, kind):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            rows = pair_rows(kind, rng)
+            # both sorts are stable, so even tied rows keep the same positions
+            assert np.array_equal(pair_order(rows), np.lexsort(rows.T[::-1]))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_from_edges_matches_unique_rows(self, kind):
+        rng = np.random.default_rng(62)
+        for _ in range(20):
+            rows = pair_rows(kind, rng)
+            rows = rows[rows[:, 0] != rows[:, 1]]
+            n = int(rows.max()) + 1 if rows.size else 3
+            g = lm.Graph.from_edges(n, rows)
+            assert np.array_equal(g.edges, unique_rows(rows))
+            assert g.edges.dtype == np.int64
+
+    @pytest.mark.parametrize("rows", [
+        [[-1, 2], [5, 3], [0, 1]],
+        [[2, 2], [-3, 1], [0, 9]],
+        [[2**32, 1], [0, 2**33], [1, 0]],
+        [[0, 1], [-2**62, 2**62], [3, 3]],
+    ])
+    def test_refusals_name_the_same_row(self, rows):
+        # rows with ids outside [0, 2**32) are refused as before, naming the same row
+        rows = np.array(rows, dtype=np.int64)
+        assert np.array_equal(pair_order(rows), np.lexsort(rows.T[::-1]))
+        want = raised(_edge_rows, rows[np.lexsort(rows.T[::-1])], 4, "edge")
+        assert raised(lm.NodeRepWatermark, 4, [], [], [], rows, np.zeros((4, 1)),
+                      np.zeros(1), 0.5) == want
+        want = raised(lm.Graph, 4, unique_rows(rows), np.zeros((4, 0)))
+        assert raised(lm.Graph.from_edges, 4, rows) == want
 
 
 def test_dataset_roundtrip(tmp_path, toy_dataset):

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import struct
 
@@ -261,6 +262,30 @@ class TestSerialization:
         assert serialize_wm(back) == serialize_wm(wm)
 
 
+class TestOwnArrays:
+    """A trigger set keeps its own copies of the arrays it is given, so writing
+    to one never changes another built from its arrays, or the caller's."""
+
+    def test_node_rep_copies(self, toy_watermark):
+        wm = deserialize_wm(serialize_wm(toy_watermark))
+        before = serialize_wm(wm)
+        other = NodeRepWatermark(wm.num_nodes, wm.nodes, wm.pairs, wm.labels, wm.edges,
+                                 wm.features, wm.vector, wm.rate)
+        for array in (other.nodes, other.pairs, other.labels, other.vector, other.features):
+            array.flat[0] += 1
+        assert serialize_wm(wm) == before
+        assert serialize_wm(other) != before
+
+    def test_subgraph_copies(self):
+        wm = deserialize_wm(small_blobs()["subgraph"])
+        wm.indices = np.arange(len(wm.subgraphs))
+        other = lm.SubgraphWatermark(wm.subgraphs, wm.labels, wm.vector, wm.rate, wm.indices)
+        for array in (other.labels, other.vector, other.indices):
+            array[0] += 1
+        assert serialize_wm(wm) == small_blobs()["subgraph"]
+        assert wm.indices[0] == 0
+
+
 @functools.lru_cache(maxsize=None)
 def small_blobs() -> dict:
     """Valid `.gwm` blobs of both kinds, small enough to cut at every offset."""
@@ -306,6 +331,17 @@ MALFORMED = {
     "self_loop_edge": node_rep_blob([(2, 2)]),
     "edge_past_num_nodes": node_rep_blob([(0, 4)]),
 }
+
+
+class TestGoldenBytes:
+    # SHA-256 of `small_blobs()`, pinned so that hashes already posted on a
+    # board keep verifying: a change to the canonical bytes fails here first
+    GOLDEN = {"node_rep": "1a1d570a43925f24bea197fbe4ae76cfc8f0dc198ee8c2b197919d2675b630d3",
+              "subgraph": "f6cf860e77bda8aee52b22d49ab3c205239e8913fa4825dde0d96982c22246fd"}
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN))
+    def test_serialized_bytes_are_pinned(self, kind):
+        assert hashlib.sha256(small_blobs()[kind]).hexdigest() == self.GOLDEN[kind]
 
 
 class TestMalformedBlobs:
