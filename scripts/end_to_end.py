@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Full ownership workflow on a synthetic graph, driven through the CLI:
 
-datagen -> split -> wm-gen -> register -> train -> threshold -> dispute
+datagen -> split -> register -> train -> eval -> threshold -> dispute
 
 Exits 0 only if every stage succeeds and the dispute resolves for the
 plaintiff. Pass --out to keep the artifacts; defaults to a temp directory.
@@ -46,21 +46,16 @@ def main() -> int:
     seed = str(args.seed)
 
     run(CLI + ["datagen", "--out", out, "--seed", seed, "--config", cfg])
-    edges, feats = out / "graph.edges", out / "graph.features"
-    run(CLI + ["split", "--out", out, "--seed", seed, "--edges", edges,
-               "--features", feats, "--config", cfg])
-    run(CLI + ["wm-gen", "--out", out, "--seed", seed, "--edges", edges,
-               "--features", feats, "--config", cfg])
-    run(CLI + ["register", "--out", out, "--seed", seed, "--edges", edges,
-               "--features", feats, "--board", out / "board.jsonl",
-               "--who", "owner", "--config", cfg])
+    run(CLI + ["split", "--out", out, "--seed", seed, "--edges", out / "graph.edges",
+               "--features", out / "graph.features", "--config", cfg])
+    run(CLI + ["register", "--out", out, "--seed", seed, "--dataset", out / "dataset.npz",
+               "--board", out / "board.jsonl", "--who", "owner", "--config", cfg])
     run(CLI + ["train", "--out", out, "--seed", seed, "--dataset", out / "dataset.npz",
                "--wm", out / "trigger.gwm", "--method", "genie", "--config", cfg])
     run(CLI + ["eval", "--out", out, "--dataset", out / "dataset.npz",
                "--checkpoint", out / "model.ckpt", "--wm", out / "trigger.gwm"])
     run(CLI + ["threshold", "--out", out, "--seed", seed,
-               "--dataset", out / "dataset.npz", "--edges", edges,
-               "--features", feats, "--models", str(args.models),
+               "--dataset", out / "dataset.npz", "--models", str(args.models),
                "--gamma", "0.95", "--n", "100000", "--jobs", str(args.jobs),
                "--config", cfg])
     run(CLI + ["dispute", "--out", out, "--board", out / "board.jsonl",

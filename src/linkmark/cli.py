@@ -177,16 +177,6 @@ def cmd_split(args, s) -> int:
                  line=f"split sizes: {counts} -> {args.out / 'dataset.npz'}")
 
 
-def cmd_wm_gen(args, s) -> int:
-    params = _wm_params(s)
-    g = _load_graph(args.edges, args.features)
-    save_wm(generate_watermark(g, params, derive_seed(s["seed"], "wm")),
-            args.out / "trigger.gwm")
-    return _emit(args, {"seed": s["seed"], "pathway": params.pathway, "rate": params.rate},
-                 ["trigger.gwm"], line=f"trigger set: {params.pathway}, rate "
-                                       f"{params.rate} -> {args.out / 'trigger.gwm'}")
-
-
 def cmd_train(args, s) -> int:
     cfg = _train_config(s)
     method = s["method"] if args.wm else "clean"
@@ -226,8 +216,7 @@ def _threshold_task(task: dict) -> dict:
     params = _wm_params(s)
     ds = load_dataset(task["dataset"])
     cfg = _train_config({**s, "seed": seed})
-    wm = generate_watermark(_load_graph(task["edges"], task["features"]),
-                            params, derive_seed(seed, "wm"))
+    wm = generate_watermark(ds.graph(), params, derive_seed(seed, "wm"))
     model = LinkPredictor.init(cfg.arch, ds.features.shape[1], cfg.hidden_dim,
                                derive_seed(seed, "init"))
     method = "clean" if task["kind"] == "clean" else s["method"]
@@ -238,9 +227,8 @@ def _threshold_task(task: dict) -> dict:
 def _cohort_aucs(args, s: dict):
     """Train `models` clean and `models` watermarked models over the worker
     pool; returns their trigger AUCs as (clean, wm) lists in seed order."""
-    tasks = [{"dataset": str(args.dataset), "edges": str(args.edges),
-              "features": str(args.features) if args.features else None,
-              "settings": s, "seed": derive_seed(s["seed"], f"{kind}{i}"), "kind": kind}
+    tasks = [{"dataset": str(args.dataset), "settings": s,
+              "seed": derive_seed(s["seed"], f"{kind}{i}"), "kind": kind}
              for kind in ("clean", "wm") for i in range(s["models"])]
     results = _pool_map(_threshold_task, tasks, args.jobs)
     results.sort(key=lambda r: (r["kind"], r["seed"]))
@@ -271,9 +259,8 @@ def cmd_threshold(args, s) -> int:
             return _fail("missing_input", f"threshold needs {missing} too: it reads "
                                           "both sample CSVs or neither")
         clean, wm = read_samples_csv(args.clean_csv), read_samples_csv(args.wm_csv)
-    elif not (args.dataset and args.edges):
-        return _fail("missing_input", "threshold needs --dataset and --edges "
-                                      "unless sample CSVs are given")
+    elif not args.dataset:
+        return _fail("missing_input", "threshold needs --dataset unless sample CSVs are given")
     else:
         clean, wm = map(np.array, _cohort_aucs(args, s))
         write_samples_csv(clean, args.out / "clean_aucs.csv")
@@ -303,9 +290,8 @@ def cmd_attack(args, s) -> int:
 
 
 def cmd_register(args, s) -> int:
-    g = _load_graph(args.edges, args.features)
-    wm, record = register(g, _wm_params(s), args.board, args.who,
-                          derive_seed(s["seed"], "wm"))
+    wm, record = register(load_dataset(args.dataset).graph(), _wm_params(s), args.board,
+                          args.who, derive_seed(s["seed"], "wm"))
     save_wm(wm, args.out / "trigger.gwm")
     return _emit(args, {"seed": s["seed"], "who": args.who},
                  ["trigger.gwm"], ("receipt.json", record.to_json_dict()))
@@ -397,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("split", cmd_split, "split links and sample negatives",
             "config seed out edges! features")
-    command("wm-gen", cmd_wm_gen, "generate a trigger set", "config seed out edges! features")
 
     p = command("train", cmd_train, "train a model, optionally embedding a watermark",
                 "config seed out dataset! wm")
@@ -406,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("eval", cmd_eval, "evaluate a checkpoint", "config out dataset! checkpoint! wm")
     command("threshold", cmd_threshold, "set the threshold from sample CSVs or a trained cohort",
-            "config seed out jobs dataset edges features models gamma n clean-csv wm-csv")
+            "config seed out jobs dataset models gamma n clean-csv wm-csv")
 
     p = command("attack", cmd_attack, "run one removal attack and report the verdict",
                 "config seed out dataset! checkpoint! wm!")
@@ -420,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surrogate-arch", choices=list(ARCHS))
 
     p = command("register", cmd_register, "judge-side trigger generation plus board entry",
-                "config seed out edges! features board!")
+                "config seed out dataset! board!")
     p.add_argument("--who", required=True)
 
     p = command("dispute", cmd_dispute, "resolve an ownership dispute",

@@ -151,6 +151,11 @@ class LinkDataset:
     def num_nodes(self) -> int:
         return self.mp_adjacency.shape[0]
 
+    def graph(self) -> Graph:
+        """The graph the split was drawn from: every positive pair, whatever its
+        split, over all `num_nodes` nodes (isolated ones too) with `features`."""
+        return Graph.from_edges(self.num_nodes, self.pairs[self.labels == 1], self.features)
+
     def split_arrays(self, split: str):
         """(pairs N x 2, labels N) for one split, in stored order."""
         mask = self.splits == SPLITS.index(split)

@@ -20,7 +20,7 @@ from conftest import BAD_CHECKPOINTS
 
 REPO = Path(__file__).resolve().parent.parent
 
-SUBCOMMANDS = ["datagen", "split", "wm-gen", "train", "eval", "threshold",
+SUBCOMMANDS = ["datagen", "split", "train", "eval", "threshold",
                "attack", "register", "dispute", "serve", "report"]
 
 
@@ -36,14 +36,16 @@ def write_config(tmp_path, **extra):
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """datagen + split + wm-gen + short train, shared by the CLI tests."""
+    """datagen + split + register (onto a throwaway board) + short train, shared
+    by the CLI tests."""
     out = tmp_path_factory.mktemp("cli")
     cfg = write_config(out)
     base = ["--out", str(out), "--seed", "42", "--config", str(cfg)]
     assert main(["datagen"] + base) == 0
     edges = [str(out / "graph.edges"), "--features", str(out / "graph.features")]
     assert main(["split"] + base + ["--edges"] + edges) == 0
-    assert main(["wm-gen"] + base + ["--edges"] + edges) == 0
+    assert main(["register"] + base + ["--dataset", str(out / "dataset.npz"), "--board",
+                                       str(out / "board.jsonl"), "--who", "owner"]) == 0
     assert main(["train"] + base + ["--dataset", str(out / "dataset.npz"),
                                     "--wm", str(out / "trigger.gwm")]) == 0
     return out, cfg
@@ -104,7 +106,8 @@ class TestSettings:
 
     def test_full_config_gives_wm_params(self, tmp_path):
         doc = {"pathway": "subgraph", "rate": 0.2, "hops": 2, "ratios": [0.6, 0.2, 0.2]}
-        s = settings_for(tmp_path, ["wm-gen", "--edges", "e"], doc)
+        s = settings_for(tmp_path, ["register", "--dataset", "d", "--board", "b",
+                                    "--who", "w"], doc)
         assert _wm_params(s) == WmParams("subgraph", 0.2, 2, (0.6, 0.2, 0.2))
 
     def test_bad_config_value_names_its_key(self, tmp_path, capsys):
@@ -143,9 +146,7 @@ class TestSettings:
     def test_threshold_flags_beat_config_beat_defaults(self, pipeline, tmp_path):
         out, _ = pipeline
         cfg = str(write_config(tmp_path, epochs=40, gamma=0.9, n=2000, models=5))
-        base = ["threshold", "--dataset", str(out / "dataset.npz"), "--edges",
-                str(out / "graph.edges"), "--features", str(out / "graph.features"),
-                "--config", cfg]
+        base = ["threshold", "--dataset", str(out / "dataset.npz"), "--config", cfg]
 
         def run(name, *extra):
             assert main(base + ["--out", str(tmp_path / name), *extra]) == 0
@@ -282,7 +283,7 @@ class TestThresholdAndDispute:
         argv = ["threshold", "--out", str(tmp_path), "--config", str(cfg),
                 f"--{given}-csv", str(samples)]
         if graph:
-            argv += ["--dataset", str(out / "dataset.npz"), "--edges", str(out / "graph.edges")]
+            argv += ["--dataset", str(out / "dataset.npz")]
         assert main(argv) == 1
         doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert doc["error"] == "missing_input" and missing in doc["message"]
@@ -342,8 +343,7 @@ class TestThresholdAndDispute:
         out, cfg = pipeline
         board = tmp_path / "board.jsonl"
         rc = main(["register", "--out", str(tmp_path), "--seed", "42",
-                   "--edges", str(out / "graph.edges"), "--features",
-                   str(out / "graph.features"), "--board", str(board),
+                   "--dataset", str(out / "dataset.npz"), "--board", str(board),
                    "--who", "owner", "--config", str(cfg)])
         assert rc == 0
         clean = tmp_path / "clean.csv"
@@ -366,8 +366,7 @@ class TestThresholdAndDispute:
         out, cfg = pipeline
         board = tmp_path / "board.jsonl"
         assert main(["register", "--out", str(tmp_path), "--seed", "42",
-                     "--edges", str(out / "graph.edges"), "--features",
-                     str(out / "graph.features"), "--board", str(board),
+                     "--dataset", str(out / "dataset.npz"), "--board", str(board),
                      "--who", "owner", "--config", str(cfg)]) == 0
         clean = tmp_path / "clean.csv"
         wm_csv = tmp_path / "wm.csv"
@@ -581,7 +580,8 @@ def test_train_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
              "--features", str(tmp_path / "graph.features")]
     assert main(["datagen"] + base) == 0
     assert main(["split"] + base + edges) == 0
-    assert main(["wm-gen"] + base + edges) == 0
+    assert main(["register"] + base + ["--dataset", str(tmp_path / "dataset.npz"), "--board",
+                                       str(tmp_path / "board.jsonl"), "--who", "owner"]) == 0
     written = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
@@ -637,9 +637,9 @@ def test_subgraph_pathway_through_cli(pipeline, tmp_path):
     cfg.write_text(json.dumps({"pathway": "subgraph", "rate": 0.2, "hops": 1,
                                "arch": "gcn", "hidden": 32, "epochs": 25,
                                "lr": 0.001, "method": "genie"}))
-    rc = main(["wm-gen", "--out", str(tmp_path), "--seed", "42",
-               "--edges", str(out / "graph.edges"), "--features",
-               str(out / "graph.features"), "--config", str(cfg)])
+    rc = main(["register", "--out", str(tmp_path), "--seed", "42",
+               "--dataset", str(out / "dataset.npz"), "--board", str(tmp_path / "board.jsonl"),
+               "--who", "owner", "--config", str(cfg)])
     assert rc == 0
     rc = main(["train", "--out", str(tmp_path), "--seed", "42",
                "--dataset", str(out / "dataset.npz"),
@@ -669,20 +669,52 @@ def test_subgraph_eval_extracts_only_the_splits_it_scores(pipeline, tmp_path, mo
     assert len(calls) == sum(len(ds.split_arrays(split)[1]) for split in ("valid", "test"))
 
 
-def test_register_writes_the_wm_gen_trigger_set(pipeline, tmp_path):
-    """The judge's registered bytes must be the owner's `wm-gen` file, also
-    when the config sets the split ratios the subgraph pathway samples from."""
-    out, _ = pipeline
-    cfg = tmp_path / "sg.json"
-    cfg.write_text(json.dumps({"pathway": "subgraph", "rate": 0.2, "hops": 1,
-                               "ratios": [0.6, 0.2, 0.2]}))
-    common = ["--seed", "42", "--config", str(cfg), "--edges", str(out / "graph.edges"),
-              "--features", str(out / "graph.features")]
-    assert main(["wm-gen", "--out", str(tmp_path / "gen")] + common) == 0
-    assert main(["register", "--out", str(tmp_path / "reg"), "--who", "owner",
-                 "--board", str(tmp_path / "board.jsonl")] + common) == 0
-    owner = (tmp_path / "gen" / "trigger.gwm").read_bytes()
-    assert owner == (tmp_path / "reg" / "trigger.gwm").read_bytes()
+# name: (watermark keys over the pipeline's config, SHA-256 of the trigger set the
+# judge generated from the pipeline's edge and feature files at seed 42)
+REGISTERED_GWM = {
+    "node_rep": ({}, "eed5e320ff9713c2daca38548fa10c2501aa947a3a064cb551a9ed651caa80be"),
+    "subgraph": ({"pathway": "subgraph", "rate": 0.2, "hops": 1},
+                 "eb2d5b3f166e45c68cbf240bcdc232b87f3bf6f373c06bf34c3ca23fa4f6f514"),
+    "subgraph_ratios": ({"pathway": "subgraph", "rate": 0.2, "hops": 1,
+                         "ratios": [0.6, 0.2, 0.2]},
+                        "b4c8ead29526e0d28f1f06628048cce825aa65a104566c7a1da020151351ff7d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTERED_GWM))
+def test_register_from_the_dataset_writes_the_graph_files_trigger_set(pipeline, tmp_path,
+                                                                       name):
+    """`register --dataset` writes the bytes the judge generated from the edge
+    and feature files the split came from, also when the config sets the split
+    ratios the subgraph pathway samples from; its manifest names the dataset."""
+    out, cfg = pipeline
+    keys, digest = REGISTERED_GWM[name]
+    (tmp_path / "config.json").write_text(json.dumps({**json.loads(cfg.read_text()), **keys}))
+    assert main(["register", "--out", str(tmp_path), "--seed", "42",
+                 "--config", str(tmp_path / "config.json"), "--dataset", str(out / "dataset.npz"),
+                 "--who", "owner", "--board", str(tmp_path / "board.jsonl")]) == 0
+    assert sha256_file(tmp_path / "trigger.gwm") == digest
+    manifest = json.loads((tmp_path / "register_manifest.json").read_text())
+    assert manifest["inputs"] == {"dataset": sha256_file(out / "dataset.npz")}
+
+
+@pytest.mark.parametrize("bad", ["out_of_range", "self_pair"])
+def test_register_rejects_a_dataset_with_a_bad_positive_pair(pipeline, tmp_path, capsys, bad):
+    out, cfg = pipeline
+    with np.load(out / "dataset.npz") as doc:
+        arrays = dict(doc)
+    first = int(np.argmax(arrays["labels"] == 1))
+    u, n = arrays["pair_u"][first], arrays["num_nodes"]
+    arrays["pair_v"][first] = n if bad == "out_of_range" else u
+    np.savez(tmp_path / "bad.npz", **arrays)
+    rc = main(["register", "--out", str(tmp_path), "--seed", "42", "--config", str(cfg),
+               "--dataset", str(tmp_path / "bad.npz"), "--who", "owner",
+               "--board", str(tmp_path / "board.jsonl")])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "invalid_input"
+    assert not (tmp_path / "board.jsonl").exists()
+    assert not (tmp_path / "trigger.gwm").exists()
 
 
 def test_eval_rejects_dataset_with_bad_split_code(pipeline, tmp_path, capsys):
@@ -751,9 +783,7 @@ def test_cohort_stats_script_small(tmp_path):
     for cmd in (["datagen", "--config", str(cfg)],
                 ["split", "--edges", str(tmp_path / "graph.edges"),
                  "--features", str(tmp_path / "graph.features"), "--config", str(cfg)],
-                ["threshold", "--dataset", str(tmp_path / "dataset.npz"),
-                 "--edges", str(tmp_path / "graph.edges"),
-                 "--features", str(tmp_path / "graph.features"), "--models", "4",
+                ["threshold", "--dataset", str(tmp_path / "dataset.npz"), "--models", "4",
                  "--jobs", "1", "--config", str(cfg)]):
         proc = subprocess.run(cli_cmd + cmd + ["--out", str(tmp_path), "--seed", "7"],
                               capture_output=True, text=True, timeout=300)
@@ -779,8 +809,7 @@ def test_reproduce_table1_small(pipeline, tmp_path):
 
     def run(name, jobs):
         rc = main(["threshold", "--out", str(tmp_path / name), "--seed", "11",
-                   "--dataset", str(out / "dataset.npz"), "--edges",
-                   str(out / "graph.edges"), "--features", str(out / "graph.features"),
+                   "--dataset", str(out / "dataset.npz"),
                    "--models", "4", "--jobs", jobs, "--config", str(cfg)])
         assert rc == 0
         return {f: (tmp_path / name / f).read_bytes()

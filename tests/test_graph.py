@@ -413,6 +413,42 @@ def test_dataset_roundtrip(tmp_path, toy_dataset):
     assert np.array_equal(back.features, toy_dataset.features)
 
 
+# 60 nodes declared and 19 used: 41 isolated nodes, and no feature columns
+HEADER_EDGES = "N 60\n" + "".join(f"{i} {i + 1}\n" for i in range(18)) + "".join(
+    f"{i + 3} {i}\n" for i in range(0, 16, 2))
+
+
+class TestDatasetGraph:
+    """`LinkDataset.graph()` is the graph the split was drawn from, bit for bit."""
+
+    @pytest.mark.parametrize("saved", [False, True], ids=["in_memory", "saved"])
+    @pytest.mark.parametrize("ratios", [(0.8, 0.1, 0.1), (0.6, 0.2, 0.2)])
+    @pytest.mark.parametrize("source", ["sbm", "header_isolated"])
+    def test_round_trip(self, tmp_path, toy_graph, source, ratios, saved):
+        g = toy_graph if source == "sbm" else lm.load_edge_list(write(tmp_path, HEADER_EDGES))
+        if source != "sbm":
+            assert (g.num_nodes, g.features.shape, g.edges.max()) == (60, (60, 0), 18)
+        ds = lm.split_links(g, ratios, seed=5)
+        if saved:
+            save_dataset(ds, tmp_path / "ds.npz")
+            ds = load_dataset(tmp_path / "ds.npz")
+        back = ds.graph()
+        assert back.num_nodes == g.num_nodes
+        assert back.edges.dtype == g.edges.dtype and back.edges.shape == g.edges.shape
+        assert back.edges.tobytes() == g.edges.tobytes()
+        assert back.features.dtype == g.features.dtype
+        assert back.features.shape == g.features.shape
+        assert back.features.tobytes() == g.features.tobytes()
+
+    @pytest.mark.parametrize("pair_v, message", [([5, 3], "out of range"),
+                                                 ([0, 3], "self-loop")])
+    def test_bad_positive_pair_rejected(self, tmp_path, pair_v, message):
+        ds = load_dataset(write_dataset_npz(tmp_path / "bad.npz",
+                                            pair_v=np.array(pair_v, dtype=np.int64)))
+        with pytest.raises(ValueError, match=message):
+            ds.graph()
+
+
 def write_dataset_npz(path, **override):
     """A hand-written dataset.npz: 4 nodes, one train positive and negative."""
     doc = {"num_nodes": np.int64(4), "mp_edges": np.array([[0, 1]], dtype=np.int64),
